@@ -34,7 +34,7 @@ _SWEEP_VARIABLES = ("lambda_p", "n_p", "n_s", "r_ps", "beta", "alpha",
 
 _SPEC_KEYS = {"sweep_variable", "sweep_values", "methods", "simulate",
               "n_slots", "seeds", "output_path", "grid_points",
-              "warmup_slots", "cpt_mode"}
+              "warmup_slots"}
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,6 @@ class ExperimentSpec:
     seeds: Tuple[int, ...] = (1,)
     grid_points: int = 200
     warmup_slots: int = 10_000
-    cpt_mode: str = "fixed_point"
 
 
 def _parse_kv_file(path):
@@ -206,9 +205,6 @@ def load_spec(path, overrides=None):
     warmup = intkey("warmup_slots", 10_000)
     grid = intkey("grid_points", 200)
     seeds = _parse_list(spec_raw.get("seeds", "1"), int, "seeds", errors)
-    cpt_mode = spec_raw.get("cpt_mode", "fixed_point")
-    if cpt_mode not in ("fixed_point", "mu_p_sweep"):
-        errors.append(f"cpt_mode: unknown mode {cpt_mode!r}")
 
     if base is not None and variable in _SWEEP_VARIABLES:
         for v in values:
@@ -230,7 +226,6 @@ def load_spec(path, overrides=None):
         seeds=seeds,
         grid_points=grid,
         warmup_slots=warmup,
-        cpt_mode=cpt_mode,
     ), []
 
 
@@ -276,16 +271,15 @@ def _spec_hash(spec: ExperimentSpec) -> str:
         for f in dataclass_fields(SystemConfig))
     payload = repr((base_items, spec.sweep_variable, spec.sweep_values,
                     spec.methods, spec.simulate, spec.n_slots, spec.seeds,
-                    spec.grid_points, spec.warmup_slots, spec.cpt_mode))
+                    spec.grid_points, spec.warmup_slots))
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def _search(method, cfg, spec):
+def _search(method, cfg, grid_points):
     if method == "lp":
-        return optimal_policy(cfg, grid_points=spec.grid_points)
+        return optimal_policy(cfg, grid_points=grid_points)
     if method == "cpt":
-        return cpt_policy(cfg, mode=spec.cpt_mode,
-                          grid_points=spec.grid_points)
+        return cpt_policy(cfg)
     return st_policy(cfg)
 
 
@@ -298,7 +292,7 @@ def sweep_records(spec: ExperimentSpec):
                                    cfg.pu_queue_capacity,
                                    cfg.loss_threshold)
         for method in spec.methods:
-            result = _search(method, cfg, spec)
+            result = _search(method, cfg, spec.grid_points)
             ok = result.status == "ok"
             row = {
                 "value": value,
@@ -368,19 +362,13 @@ def run_single(config: SystemConfig, method: Optional[str] = None,
                policy: Optional[AccessPolicy] = None,
                do_simulate: bool = False, n_slots: int = 1_000_000,
                seeds: Tuple[int, ...] = (1,), warmup_slots: int = 10_000,
-               grid_points: int = 200, cpt_mode: str = "fixed_point",
-               stream=None) -> str:
+               grid_points: int = 200, stream=None) -> str:
     """Evaluate one policy (explicit or searched) and print a report."""
     if (method is None) == (policy is None):
         raise ValueError("method: give exactly one of method or policy")
     lines = []
     if method is not None:
-        spec_like = ExperimentSpec(base=config, sweep_variable="lambda_p",
-                                   sweep_values=(config.pu_arrival_rate,),
-                                   methods=(method,), output_path="",
-                                   grid_points=grid_points,
-                                   cpt_mode=cpt_mode)
-        result = _search(method, config, spec_like)
+        result = _search(method, config, grid_points)
         lines.append(f"method = {method}")
         if result.status != "ok":
             lines.append(f"status = {result.status}")
@@ -468,9 +456,7 @@ def main(argv=None) -> int:
     add_common(p_opt)
     p_opt.add_argument("--method", required=True, choices=_METHOD_ORDER)
     p_opt.add_argument("--grid", type=int, default=200,
-                       help="target-rate grid size for the sweep searches")
-    p_opt.add_argument("--mode", default="fixed_point",
-                       choices=("fixed_point", "mu_p_sweep"))
+                       help="target-rate grid size for the exact search")
 
     p_sim = sub.add_parser("simulate", help="simulate a policy and compare")
     add_common(p_sim)
@@ -516,8 +502,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "optimize":
-        run_single(config, method=args.method, grid_points=args.grid,
-                   cpt_mode=args.mode)
+        run_single(config, method=args.method, grid_points=args.grid)
         return 0
 
     # simulate

@@ -11,7 +11,7 @@ size; no sparse machinery, no external solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -153,8 +153,18 @@ def solve(problem: LpProblem, start=None) -> LpSolution:
     one is skipped and phase two starts from it; otherwise, or when
     the warm phase two ends numerically degenerate, the solve runs
     cold.  Along a family of problems whose data move a little at a
-    time, that cuts most of the pivots.
+    time, that cuts most of the pivots.  Raises RuntimeError when the
+    problem is numerically degenerate (a singular basis, or a final
+    basis that violates the constraints).
     """
+    try:
+        return _solve(problem, start)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError("singular basis; problem is numerically "
+                           "degenerate") from exc
+
+
+def _solve(problem, start):
     a_eq, b_eq = problem.eq_constraints
     a_ub, b_ub = problem.ineq_constraints
     n = problem.n_vars
@@ -299,7 +309,7 @@ def _phase_two(problem, a, b, cost, lo, up, basis, status, allowed, n_real):
     x[~np.isfinite(x)] = 0.0
     x[basis] = x_basic
     values = x[:n].copy()
-    if _worst_violation(problem, values) > 1e-6:
+    if max(_residuals(problem, values)) > 1e-6:
         return None
     start = None
     if np.all(basis < n_real):
@@ -309,17 +319,14 @@ def _phase_two(problem, a, b, cost, lo, up, basis, status, allowed, n_real):
                       basis=start)
 
 
-def _worst_violation(problem, x) -> float:
+def _residuals(problem, x):
+    """Largest equality, inequality and bound violations of ``x``, each >= 0."""
     a_eq, b_eq = problem.eq_constraints
     a_ub, b_ub = problem.ineq_constraints
-    worst = 0.0
-    if a_eq.size:
-        worst = float(np.max(np.abs(a_eq @ x - b_eq)))
-    if a_ub.size:
-        worst = max(worst, float(np.max(a_ub @ x - b_ub)))
-    for j, (l, h) in enumerate(problem.bounds):
-        worst = max(worst, l - x[j], x[j] - h)
-    return worst
+    lo, hi = np.array(problem.bounds).T
+    return (float(np.max(np.abs(a_eq @ x - b_eq), initial=0.0)),
+            float(np.max(a_ub @ x - b_ub, initial=0.0)),
+            float(np.max(np.concatenate((lo - x, x - hi)), initial=0.0)))
 
 
 def verify(problem: LpProblem, solution: LpSolution) -> dict:
@@ -333,14 +340,7 @@ def verify(problem: LpProblem, solution: LpSolution) -> dict:
     if solution.status != "optimal" or solution.values is None:
         return {"ok": False, "status": solution.status}
     x = solution.values
-    a_eq, b_eq = problem.eq_constraints
-    a_ub, b_ub = problem.ineq_constraints
-    eq_violation = float(np.max(np.abs(a_eq @ x - b_eq))) if a_eq.size else 0.0
-    ineq_violation = float(np.max(a_ub @ x - b_ub)) if a_ub.size else 0.0
-    ineq_violation = max(ineq_violation, 0.0)
-    bound_violation = 0.0
-    for j, (l, h) in enumerate(problem.bounds):
-        bound_violation = max(bound_violation, l - x[j], x[j] - h)
+    eq_violation, ineq_violation, bound_violation = _residuals(problem, x)
     objective_gap = abs(float(problem.objective @ x) - solution.objective_value)
     ok = (eq_violation <= _FEAS_TOL and ineq_violation <= _FEAS_TOL
           and bound_violation <= _FEAS_TOL and objective_gap <= _FEAS_TOL)

@@ -20,9 +20,7 @@ import numpy as np
 from . import lp_core
 from .link_model import LinkBudget, SystemConfig, link_budget
 from .queue_analytics import (AccessPolicy, evaluate_policy,
-                              min_departure_rate, pu_busy_probability,
-                              pu_departure_from_relay, relay_departure_probs,
-                              relay_steady_state)
+                              min_departure_rate, pu_busy_probability)
 
 __all__ = [
     "OptimizationResult",
@@ -230,11 +228,24 @@ def optimal_policy(config: SystemConfig, grid_points: int = 200,
     and the first whose evaluation is feasible and reproduces the LP
     score within ``_SCORE_TOL`` is returned.  When none does the status
     is "unverified" and no policy is returned.
+
+    With a capture probability of 0 the relay never fills, every
+    policy scores the same and there is no LP to build; the never-share
+    policy (the threshold search's tie-break) is evaluated instead.
     """
     b = budget if budget is not None else link_budget(config)
     window = attainable_mu_p_range(config, b)
     if window is None:
         return _infeasible("lp")
+    if b.theta_ps * (1.0 - b.theta_pd) <= 0.0:
+        policy = _step_policy(0, config.relay_queue_capacity)
+        evaluation = evaluate_policy(config, policy, budget=b)
+        if not evaluation.feasible:
+            return _infeasible("lp")
+        return OptimizationResult(method="lp", status="ok", policy=policy,
+                                  evaluation=evaluation,
+                                  swept_mu_p=evaluation.mu_p,
+                                  objective=evaluation.mu_s, diagnostics=())
     diagnostics = []
     candidates = []
     basis = None  # last optimal basis; neighbouring rates warm-start from it
@@ -286,25 +297,22 @@ def _step_policy(n_th: int, n_s: int) -> AccessPolicy:
                                        for n in range(1, n_s + 1)))
 
 
-def cpt_policy(config: SystemConfig, mode: str = "fixed_point",
-               grid_points: int = 200,
+def cpt_policy(config: SystemConfig,
                budget: Optional[LinkBudget] = None) -> OptimizationResult:
     """Best constant sharing probability.
 
-    Default mode scores each candidate p through the self-consistent
-    fixed point.  The score is expected to be unimodal in p, so a
+    Each candidate p is scored through the self-consistent fixed
+    point.  The score is expected to be unimodal in p, so a
     golden-section search does the heavy lifting; a 0.001-step grid
     scan runs alongside as a safety net and wins whenever it finds a
-    better point.  Mode "mu_p_sweep" instead pins each target rate on
-    the grid, root-finds the p consistent with it, and keeps the best
-    rate (the alternative reading of searching over feasible rates).
+    better point.  Every equilibrium of any policy lies inside the
+    closed-form target window, so when that window is empty no policy
+    is feasible and nothing is scored.
     """
     b = budget if budget is not None else link_budget(config)
+    if feasible_mu_p_range(config, b) is None:
+        return _infeasible("cpt")
     n_s = config.relay_queue_capacity
-    if mode == "mu_p_sweep":
-        return _cpt_mu_p_sweep(config, b, grid_points)
-    if mode != "fixed_point":
-        raise ValueError(f"mode: unknown search mode {mode!r}")
 
     cache = {}
 
@@ -353,66 +361,14 @@ def cpt_policy(config: SystemConfig, mode: str = "fixed_point",
                               diagnostics=diagnostics)
 
 
-def _cpt_mu_p_sweep(config, b, grid_points):
-    """Pin each target rate, solve for the consistent constant p."""
-    n_s = config.relay_queue_capacity
-    window = attainable_mu_p_range(config, b)
-    if window is None:
-        return _infeasible("cpt")
-    capture = b.theta_ps * (1.0 - b.theta_pd)
-    lam, n_p = config.pu_arrival_rate, config.pu_queue_capacity
-    diagnostics = []
-    best = None
-    for mu_p in np.linspace(window[0], window[1], max(grid_points, 2)):
-        q = pu_busy_probability(lam, float(mu_p), n_p) * capture
-
-        def implied_rate(p):
-            r = relay_departure_probs(_uniform_policy(p, n_s), b)
-            return pu_departure_from_relay(b, relay_steady_state(q, r))
-
-        g_lo = implied_rate(0.0) - mu_p   # largest implied rate
-        g_hi = implied_rate(1.0) - mu_p   # smallest implied rate
-        if g_lo < -1e-12 or g_hi > 1e-12:
-            diagnostics.append(SweepPoint(float(mu_p), -math.inf, "no_root"))
-            continue
-        p_lo, p_hi = 0.0, 1.0
-        for _ in range(80):
-            mid = 0.5 * (p_lo + p_hi)
-            if implied_rate(mid) - mu_p >= 0.0:
-                p_lo = mid
-            else:
-                p_hi = mid
-        p = 0.5 * (p_lo + p_hi)
-        r = relay_departure_probs(_uniform_policy(p, n_s), b)
-        occ = relay_steady_state(q, r).occupancy
-        mu_s = (b.theta_sr * occ[0]
-                + b.theta_sr_shared * p * sum(occ[1:]))
-        diagnostics.append(SweepPoint(float(mu_p), mu_s, "ok"))
-        if best is None or mu_s > best[1]:
-            best = (float(mu_p), mu_s, p)
-    if best is None:
-        return _infeasible("cpt", diagnostics)
-    mu_p, mu_s, p = best
-    policy = _uniform_policy(p, n_s)
-    evaluation = evaluate_policy(config, policy, budget=b)
-    return OptimizationResult(method="cpt", status="ok", policy=policy,
-                              evaluation=evaluation, swept_mu_p=mu_p,
-                              objective=mu_s, diagnostics=tuple(diagnostics))
-
-
-def st_policy(config: SystemConfig, mode: str = "fixed_point",
+def st_policy(config: SystemConfig,
               budget: Optional[LinkBudget] = None) -> OptimizationResult:
     """Best threshold rule: share at buffer levels up to the threshold.
 
     Enumerates thresholds 0..capacity; threshold 0 never shares at any
-    occupied level, threshold = capacity is the all-ones policy.  For a
-    fixed policy the rate consistent with the balance equations is
-    exactly its fixed point, so the pinned-rate reading coincides with
-    the fixed-point reading here; ``mode`` is accepted for symmetry
-    but does not change the result.
+    occupied level, threshold = capacity is the all-ones policy.  Ties
+    go to the smaller threshold.
     """
-    if mode not in ("fixed_point", "mu_p_sweep"):
-        raise ValueError(f"mode: unknown search mode {mode!r}")
     b = budget if budget is not None else link_budget(config)
     n_s = config.relay_queue_capacity
     diagnostics = []

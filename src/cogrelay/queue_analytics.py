@@ -5,9 +5,8 @@ The primary queue sees Bernoulli arrivals and departs with the success
 probability the relay layer provides; the relay buffer fills from
 overheard primary packets and drains according to the access policy.
 The two chains are coupled through the primary departure rate, which
-``evaluate_policy`` resolves with a damped fixed-point iteration and
-then brackets every other self-consistent rate by a scan plus Brent's
-method.
+``evaluate_policy`` resolves by scanning the coupled map for every
+self-consistent rate and refining each with Brent's method.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ __all__ = [
     "PuSteadyState",
     "RelaySteadyState",
     "PolicyEvaluation",
-    "FixedPointDiverged",
     "pu_steady_state",
     "pu_busy_probability",
     "pu_blocking_probability",
@@ -39,19 +37,7 @@ __all__ = [
 
 _GAMMA_UNIT_TOL = 1e-9  # treat the birth-death ratio as exactly 1 below this
 _SCAN_UNIT = np.linspace(0.0, 1.0, 129)  # uniform part of the scan grid
-_ROOT_TOL = 1e-9  # rates closer than this count as one equilibrium
-
-
-class FixedPointDiverged(RuntimeError):
-    """Raised when the coupled-rate iteration fails to settle."""
-
-    def __init__(self, last_mu_p, residual, iterations):
-        super().__init__(
-            f"fixed point did not converge after {iterations} iterations "
-            f"(last mu_p={last_mu_p!r}, residual={residual!r})")
-        self.last_mu_p = last_mu_p
-        self.residual = residual
-        self.iterations = iterations
+_SCAN_MID = 64  # _SCAN_UNIT[_SCAN_MID] is exactly 0.5
 
 
 @dataclass(frozen=True)
@@ -83,24 +69,31 @@ class AccessPolicy:
         return len(self.probs) - 1
 
 
-def _pu_scalars(lam: float, mu: float, n_p: int):
-    """(w0, busy, full) for the primary chain, O(1) and overflow safe.
+def _pu_point_mass(lam: float, mu: float, n_p: int) -> Optional[int]:
+    """The level holding all the primary queue's mass, if one does.
 
     Slot order is service then arrival, which makes the one-step
     probabilities P(0 -> 1) = lam, P(n -> n-1) = mu * (1 - lam) and
-    P(n -> n+1) = (1 - mu) * lam for interior n.  Edge conventions:
-    lam = 0 pins the queue empty; mu = 0 with lam > 0 absorbs at full;
-    lam = 1 with mu < 1 also absorbs at full, while lam = mu = 1
-    alternates through level 1 every slot.
+    P(n -> n+1) = (1 - mu) * lam for interior n.  The chain degenerates
+    in three cases: lam = 0 pins the queue empty; mu = 0 with lam > 0
+    absorbs at full; lam = 1 with mu < 1 also absorbs at full, while
+    lam = mu = 1 alternates through level 1 every slot.  Returns None
+    for the generic chain.
     """
     if lam == 0.0:
-        return 1.0, 0.0, 0.0
-    if mu == 0.0:
-        return 0.0, 1.0, 1.0
+        return 0
+    if mu == 0.0 or (lam == 1.0 and mu < 1.0):
+        return n_p
     if lam == 1.0:
-        if mu < 1.0:
-            return 0.0, 1.0, 1.0
-        return 0.0, 1.0, (1.0 if n_p == 1 else 0.0)
+        return 1
+    return None
+
+
+def _pu_scalars(lam: float, mu: float, n_p: int):
+    """(w0, busy, full) for the primary chain, O(1) and overflow safe."""
+    level = _pu_point_mass(lam, mu, n_p)
+    if level is not None:
+        return float(level == 0), float(level > 0), float(level == n_p)
     gamma = lam * (1.0 - mu) / ((1.0 - lam) * mu)
     rho1 = lam / ((1.0 - lam) * mu)
     if abs(gamma - 1.0) < _GAMMA_UNIT_TOL:
@@ -121,14 +114,14 @@ def _pu_scalars(lam: float, mu: float, n_p: int):
 class PuSteadyState:
     """Stationary description of the primary queue.
 
-    Scalars (``busy``, ``full``, ``gamma``) are computed on
-    construction in O(1).  The full ``occupancy`` vector is O(capacity)
-    to build, so it is materialized lazily on first access; sweeps over
-    million-slot buffers never pay for it.
+    Scalars (``busy``, ``full``) are computed on construction in O(1).
+    The full ``occupancy`` vector is O(capacity) to build, so it is
+    materialized lazily on first access; sweeps over million-slot
+    buffers never pay for it.
     """
 
     __slots__ = ("arrival_rate", "departure_rate", "capacity",
-                 "gamma", "busy", "full", "_occupancy")
+                 "busy", "full", "_occupancy")
 
     def __init__(self, arrival_rate: float, departure_rate: float, capacity: int):
         if not 0.0 <= arrival_rate <= 1.0:
@@ -140,17 +133,8 @@ class PuSteadyState:
         self.arrival_rate = arrival_rate
         self.departure_rate = departure_rate
         self.capacity = capacity
-        lam, mu = arrival_rate, departure_rate
-        if lam == 0.0:
-            self.gamma = 0.0
-        elif mu == 0.0 or lam == 1.0:
-            # level ratio blows up; the chain absorbs at the top
-            # (except the doubly degenerate lam = mu = 1 cycle, which
-            # never climbs past level 1)
-            self.gamma = 0.0 if (lam == 1.0 and mu == 1.0) else math.inf
-        else:
-            self.gamma = lam * (1.0 - mu) / ((1.0 - lam) * mu)
-        _, self.busy, self.full = _pu_scalars(lam, mu, capacity)
+        _, self.busy, self.full = _pu_scalars(arrival_rate, departure_rate,
+                                              capacity)
         self._occupancy = None
 
     @property
@@ -161,26 +145,20 @@ class PuSteadyState:
 
     def _build_occupancy(self):
         lam, mu, n_p = self.arrival_rate, self.departure_rate, self.capacity
-        if lam == 0.0:
-            return (1.0,) + (0.0,) * n_p
-        if mu == 0.0 or (lam == 1.0 and mu < 1.0):
-            return (0.0,) * n_p + (1.0,)
-        if lam == 1.0:  # mu == 1 here
-            return (0.0, 1.0) + (0.0,) * (n_p - 1)
+        level = _pu_point_mass(lam, mu, n_p)
+        if level is not None:
+            return (0.0,) * level + (1.0,) + (0.0,) * (n_p - level)
         gamma = lam * (1.0 - mu) / ((1.0 - lam) * mu)
         rho1 = lam / ((1.0 - lam) * mu)
         # unnormalized levels u_0 = 1, u_n = rho1 * gamma**(n-1); build
         # iteratively with periodic rescaling so gamma > 1 cannot
         # overflow even for million-entry vectors
         vals = [1.0, rho1]
-        shift = 0.0  # log of the common factor already divided out
         cur = rho1
         for _ in range(n_p - 1):
             cur *= gamma
             if cur > 1e280:
-                scale = cur
-                vals = [v / scale for v in vals]
-                shift += math.log(scale)
+                vals = [v / cur for v in vals]
                 cur = 1.0
             vals.append(cur)
         total = math.fsum(vals)
@@ -316,11 +294,12 @@ def pu_departure_from_relay(budget: LinkBudget, relay: RelaySteadyState) -> floa
 class PolicyEvaluation:
     """Coupled steady state of one policy.
 
-    ``mu_p``, ``mu_s``, ``relay_state`` and ``pu_state`` describe the
-    equilibrium the damped iteration reaches.  ``equilibria`` lists
-    every self-consistent primary departure rate found, in increasing
-    order; it always contains ``mu_p``.  ``feasible`` holds only when
-    every one of them meets the protection floor.
+    ``equilibria`` lists every self-consistent primary departure rate
+    found, in increasing order.  ``mu_p``, ``mu_s``, ``relay_state``
+    and ``pu_state`` describe the one of them that ``evaluate_policy``
+    reports (the nearest to the middle of the rate interval, on the
+    side the map points to).  ``feasible`` holds only when every
+    equilibrium meets the protection floor.
     """
 
     mu_p: float
@@ -401,43 +380,57 @@ def _implied_rates(mu, lam, n_p, budget, r, implied_rate):
     return rates
 
 
-def _equilibria(lam, n_p, budget, r, floor, reached, implied_rate):
-    """Every root of implied_rate(mu) - mu on [theta_pd, theta_pd + capture].
+def _equilibria(lam, n_p, budget, r, floor, implied_rate):
+    """Every root of g(mu) = implied_rate(mu) - mu, and the reported one.
 
-    The map's values stay inside that interval, so it holds every
-    equilibrium.  A vectorized scan over a uniform grid, with the
-    protection floor and mu = lam added as grid points (at huge
-    primary buffers the busy probability jumps across mu = lam),
-    brackets the sign changes; Brent's method refines each bracket
-    except the one holding ``reached``, the damped iteration's root.
-    Roots closer together than one scan cell are not told apart.
+    The map's values stay inside [theta_pd, theta_pd + capture], so
+    that interval holds every equilibrium.  A vectorized scan over a
+    uniform grid, with the protection floor and mu = lam added as grid
+    points (at huge primary buffers the busy probability jumps across
+    mu = lam), brackets the sign changes, and Brent's method refines
+    each bracket.  Roots closer together than one scan cell are not
+    told apart.  Returns (sorted roots, reported root).
+
+    The reported root is the one a process started at the middle of
+    the interval reaches, moving the way g points: since the map is
+    nondecreasing, that is the smallest root above the middle when
+    g(mid) > 0, the largest root below it when g(mid) < 0, and the
+    middle itself when g(mid) = 0.
     """
     lo = budget.theta_pd
     hi = lo + budget.theta_ps * (1.0 - budget.theta_pd)
     if hi <= lo:
-        return (reached,)
-    extra = [x for x in (floor, lam) if x is not None and lo < x < hi]
-    grid = np.sort(np.append(lo + (hi - lo) * _SCAN_UNIT, extra))
+        return (lo,), lo
+    grid = lo + (hi - lo) * _SCAN_UNIT
+    mid = float(grid[_SCAN_MID])
+    grid = np.append(grid, [x for x in (floor, lam)
+                            if x is not None and lo < x < hi])
     sign = np.sign(_implied_rates(grid, lam, n_p, budget, r, implied_rate)
                    - grid)
+    toward = sign[_SCAN_MID]
+    order = np.argsort(grid, kind="stable")
+    grid, sign = grid[order], sign[order]
+    # the map cannot leave the interval, so g(lo) >= 0 >= g(hi); keep
+    # rounding at the ends from hiding a root there
+    sign[0], sign[-1] = max(sign[0], 0.0), min(sign[-1], 0.0)
 
     def g(mu):
         return implied_rate(mu) - mu
 
-    roots = [reached]
-    candidates = [(x, x) for x in grid[sign == 0.0]]
-    candidates += [(grid[i], grid[i + 1])
-                   for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0)]
-    for a, b in candidates:
-        a, b = float(a), float(b)
-        if a - _ROOT_TOL <= reached <= b + _ROOT_TOL:
-            continue
+    roots = [float(x) for x in grid[sign == 0.0]]
+    for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0):
+        a, b = float(grid[i]), float(grid[i + 1])
         fa, fb = g(a), g(b)
         if fa * fb < 0.0:
             roots.append(_brent(g, a, b, fa, fb))
         else:  # the scalar map puts the sign change on a grid point
             roots.append(a if abs(fa) <= abs(fb) else b)
-    return tuple(sorted(set(roots)))
+    roots = tuple(sorted(set(roots)))
+    if toward > 0.0:
+        return roots, min(x for x in roots if x >= mid)
+    if toward < 0.0:
+        return roots, max(x for x in roots if x <= mid)
+    return roots, mid
 
 
 def evaluate_policy(config: SystemConfig, policy: AccessPolicy,
@@ -453,16 +446,13 @@ def evaluate_policy(config: SystemConfig, policy: AccessPolicy,
     a fuller relay refuses more captures, which slows the primary,
     which keeps the relay fuller.
 
-    The reported state comes from a damped iteration started mid
-    interval: the update is damped by one half and stops once the
-    pre-damping residual drops below 1e-10; since T is monotone the
-    iterates move monotonically to the nearest fixed point on one
-    side.  A 10000-iteration cap guards the pathological cases and
-    raises FixedPointDiverged with the last iterate.  Every other
-    fixed point is then bracketed by a scan and refined by Brent's
-    method; all of them are returned in ``equilibria``.  Which one the
-    system settles in depends on where it starts, so ``feasible``
-    requires every equilibrium to meet the protection floor.
+    Every fixed point is bracketed by a scan of T(mu) - mu and refined
+    by Brent's method; all of them are returned in ``equilibria``.
+    The reported state sits at the one reached from the middle of the
+    interval by moving the way T points (see ``_equilibria``).  Which
+    one the system settles in depends on where it starts, so
+    ``feasible`` requires every equilibrium to meet the protection
+    floor.
     """
     if policy.capacity != config.relay_queue_capacity:
         raise ValueError(
@@ -481,28 +471,13 @@ def evaluate_policy(config: SystemConfig, policy: AccessPolicy,
     def implied_rate(mu):
         return pu_departure_from_relay(b, relay_at(mu))
 
-    mu = b.theta_pd + 0.5 * capture
-    relay = None
-    residual = math.inf
-    for iteration in range(10000):
-        relay = relay_at(mu)
-        mu_next = pu_departure_from_relay(b, relay)
-        residual = abs(mu_next - mu)
-        if residual <= 1e-10:
-            mu = mu_next
-            break
-        mu = mu + 0.5 * (mu_next - mu)
-    else:
-        raise FixedPointDiverged(mu, residual, 10000)
-
+    floor = min_departure_rate(lam, n_p, config.loss_threshold)
+    equilibria, mu = _equilibria(lam, n_p, b, r, floor, implied_rate)
+    relay = relay_at(mu)
     shared = sum(pi_n * p_n for pi_n, p_n
                  in zip(relay.occupancy[1:], policy.probs[1:]))
     mu_s = b.theta_sr * relay.occupancy[0] + b.theta_sr_shared * shared
-
-    pu = pu_steady_state(lam, mu, n_p)
-    floor = min_departure_rate(lam, n_p, config.loss_threshold)
-    equilibria = _equilibria(lam, n_p, b, r, floor, mu, implied_rate)
     feasible = floor is not None and equilibria[0] >= floor - 1e-9
     return PolicyEvaluation(mu_p=mu, mu_s=mu_s, relay_state=relay,
-                            pu_state=pu, feasible=feasible,
-                            equilibria=equilibria)
+                            pu_state=pu_steady_state(lam, mu, n_p),
+                            feasible=feasible, equilibria=equilibria)

@@ -257,6 +257,18 @@ def test_cli_sweep_writes_file(tmp_path, capsys):
     assert (tmp_path / "cli.csv").exists()
 
 
+def test_cli_optimize_without_capture(capsys):
+    # a zero-length packet leaves no relay path: the exact search
+    # reports the never-share policy instead of failing to build its LP
+    rc = main(["optimize", "--config", DEFAULTS_CFG,
+               "--set", "bits_per_bandwidth=0", "--method", "lp"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert "Traceback" not in captured.err
+    assert "mu_s = 1\n" in captured.out
+    assert "feasible = true" in captured.out
+
+
 def test_cli_optimize_and_simulate(capsys):
     rc = main(["optimize", "--config", DEFAULTS_CFG, "--method", "st"])
     assert rc == 0

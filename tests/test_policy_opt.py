@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +9,11 @@ import pytest
 from cogrelay import (AccessPolicy, SystemConfig, cpt_policy, evaluate_policy,
                       link_budget, lp_core, optimal_policy, policy_opt,
                       st_policy)
+from cogrelay.experiments_cli import load_spec
 from cogrelay.policy_opt import (attainable_mu_p_range, build_lp,
                                  feasible_mu_p_range)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def nearly(a, b, tol=1e-9):
@@ -123,6 +127,28 @@ def test_vertices_with_infeasible_equilibria_are_skipped(alpha):
     assert r.evaluation.feasible
 
 
+def test_singular_basis_drops_the_grid_point():
+    # on the time-share sweep's base at alpha = 0.041 a cold phase one
+    # meets a singular basis; that grid point is dropped as "unstable"
+    # and the search still finds the restricted searches' throughput
+    spec, errors = load_spec(str(CONFIGS / "sweep_time_share.spec"))
+    assert errors == []
+    r = optimal_policy(dataclasses.replace(spec.base, alpha=0.041))
+    assert r.status == "ok"
+    assert r.mu_s >= 0.1539937 - 1e-6
+
+
+def test_zero_capture_gives_full_throughput(defaults):
+    # a zero-length packet crosses every link, so nothing is ever
+    # captured and the secondary keeps its whole phase
+    cfg = dataclasses.replace(defaults, bits_per_bandwidth=0.0)
+    r = optimal_policy(cfg)
+    assert r.status == "ok"
+    assert r.evaluation.feasible
+    assert r.mu_s == pytest.approx(1.0, abs=1e-12)
+    assert r.policy.probs == (1.0,) + (0.0,) * cfg.relay_queue_capacity
+
+
 def test_unverifiable_vertices_yield_no_policy(defaults, monkeypatch):
     # when no vertex's policy re-evaluates as feasible the search must
     # not hand one out as "ok"
@@ -181,7 +207,7 @@ def test_warm_started_sweep_matches_cold_solves(defaults, budget):
 # -- constant-probability search --------------------------------------------
 
 def test_cpt_tracks_its_own_grid(defaults, budget):
-    r = cpt_policy(defaults, grid_points=60)
+    r = cpt_policy(defaults)
     assert r.status == "ok"
     flat = r.policy.probs[1]
     assert all(p == flat for p in r.policy.probs[1:])
@@ -195,19 +221,22 @@ def test_cpt_tracks_its_own_grid(defaults, budget):
 
 def test_cpt_never_beats_lp(defaults):
     lp = optimal_policy(defaults, grid_points=60)
-    assert cpt_policy(defaults, grid_points=60).mu_s <= lp.mu_s + 1e-9
+    assert cpt_policy(defaults).mu_s <= lp.mu_s + 1e-9
 
 
-def test_cpt_pinned_rate_mode_agrees(defaults):
-    a = cpt_policy(defaults, grid_points=60)
-    b = cpt_policy(defaults, mode="mu_p_sweep", grid_points=60)
-    assert b.status == "ok"
-    assert abs(a.mu_s - b.mu_s) <= 1e-3
-
-
-def test_cpt_rejects_unknown_mode(defaults):
-    with pytest.raises(ValueError, match="mode"):
-        cpt_policy(defaults, mode="annealing")
+def test_cpt_skips_scoring_when_no_rate_is_feasible(defaults, monkeypatch):
+    # every equilibrium lies inside the closed-form target window, so an
+    # empty window settles the search before any policy is evaluated
+    cfg = dataclasses.replace(defaults, pu_arrival_rate=0.8)
+    assert feasible_mu_p_range(cfg) is None
+    calls = []
+    real = policy_opt.evaluate_policy
+    monkeypatch.setattr(policy_opt, "evaluate_policy",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    r = cpt_policy(cfg)
+    assert r.status == "pu_infeasible"
+    assert r.mu_s == 0.0
+    assert calls == []
 
 
 # -- threshold search -------------------------------------------------------
@@ -259,10 +288,3 @@ def test_st_tie_prefers_smaller_threshold(defaults, budget):
 def test_st_never_beats_lp(defaults):
     lp = optimal_policy(defaults, grid_points=60)
     assert st_policy(defaults).mu_s <= lp.mu_s + 1e-9
-
-
-def test_st_pinned_rate_mode_is_identical(defaults):
-    a = st_policy(defaults)
-    b = st_policy(defaults, mode="mu_p_sweep")
-    assert a.policy == b.policy
-    assert abs(a.mu_s - b.mu_s) <= 1e-12

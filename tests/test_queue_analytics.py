@@ -310,8 +310,8 @@ def _fig_base(alpha):
 def test_every_equilibrium_is_listed_and_must_meet_the_floor():
     # the LP vertex the exact search once returned at alpha = 0 of the
     # time-share sweep: its target rate sits on the floor (0.50624),
-    # but the map has roots near 0.4766, 0.5062 and 0.6509 and the
-    # damped iteration lands on the lowest, below the floor
+    # but the map has roots near 0.4766, 0.5062 and 0.6509, and the
+    # lowest is below the floor
     cfg = _fig_base(0.0)
     b = link_budget(cfg)
     policy = AccessPolicy((1.0,) + (0.0,) * 9 + (0.773,))
@@ -331,6 +331,31 @@ def test_every_equilibrium_is_listed_and_must_meet_the_floor():
         implied = pu_departure_from_relay(b, relay_steady_state(q, r))
         assert abs(implied - mu) <= 1e-9
     assert not ev.feasible
+
+
+def test_reported_rate_is_the_root_reached_from_mid_interval():
+    # all three roots sit above the middle of the rate interval, where
+    # the map points up, so the reported one is the smallest
+    cfg = _fig_base(0.0)
+    b = link_budget(cfg)
+    ev = evaluate_policy(cfg, AccessPolicy((1.0,) + (0.0,) * 9 + (0.773,)), b)
+    mid = b.theta_pd + 0.5 * b.theta_ps * (1.0 - b.theta_pd)
+    assert mid < ev.equilibria[0]
+    assert len(ev.equilibria) == 3
+    assert ev.mu_p == ev.equilibria[0]
+
+
+def test_reported_rate_solves_the_fixed_point_equation():
+    cfg = _fig_base(0.15)
+    b = link_budget(cfg)
+    policy = AccessPolicy((1.0,) + (0.25,) * cfg.relay_queue_capacity)
+    ev = evaluate_policy(cfg, policy, b)
+    q = pu_busy_probability(cfg.pu_arrival_rate, ev.mu_p,
+                            cfg.pu_queue_capacity) * b.theta_ps * (
+                                1.0 - b.theta_pd)
+    relay = relay_steady_state(q, relay_departure_probs(policy, b))
+    assert abs(pu_departure_from_relay(b, relay) - ev.mu_p) <= 1e-12
+    assert ev.equilibria == (ev.mu_p,)
 
 
 def test_single_equilibrium_at_the_defaults(defaults):
