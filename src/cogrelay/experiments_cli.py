@@ -505,12 +505,21 @@ def main(argv=None) -> int:
         run_single(config, method=args.method, grid_points=args.grid)
         return 0
 
-    # simulate
+    # simulate: every number is checked before any search runs
+    if args.slots < 1:
+        errors.append(f"slots: must be >= 1, got {args.slots}")
+    if args.warmup < 0:
+        errors.append(f"warmup: must be >= 0, got {args.warmup}")
     seeds = (args.seed,)
     if args.seeds:
         seeds = _parse_list(args.seeds, int, "seeds", errors)
-        if errors or not seeds:
-            return _fail(errors or ["seeds: empty"])
+        if not seeds and not errors:
+            errors.append("seeds: empty")
+    for seed in seeds:
+        if seed < 0:
+            errors.append(f"seed: must be a non-negative integer, got {seed}")
+    if errors:
+        return _fail(errors)
     policy = None
     method = args.method
     if args.policy is not None:

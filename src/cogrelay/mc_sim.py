@@ -70,80 +70,125 @@ def simulate(config: SystemConfig, policy: AccessPolicy, n_slots: int,
          dropped only if the queue is still full.
 
     The RNG is counter-based (Philox) keyed by ``seed`` alone, drawn
-    in blocks; identical inputs give identical stats bit for bit.
+    in blocks of ``_BLOCK`` slots; identical inputs give identical
+    stats bit for bit.
+
+    Each block's uniforms are classified with numpy into one integer
+    outcome code per slot, packing the bits u_pd < theta_pd,
+    u_ps < theta_ps, u_relay < theta_sd_shared, u_relay < theta_sd and
+    u_arr < lambda_p above the rank of u_share among the policy's
+    distinct levels (level n shares iff that rank is at most the index
+    of probs[n]).  Two tables, built once per call and indexed by code
+    and relay level, give the next relay level and the primary queue's
+    change with the primary queue busy, and the next relay level and
+    primary level with it empty.  The Python loop only walks (primary
+    level, relay level) through these tables; every count is then
+    recovered from the recorded trajectory with numpy, block by block.
     """
     if n_slots < 1:
         raise ValueError(f"n_slots: must be >= 1, got {n_slots}")
     if warmup_slots < 0:
         raise ValueError(f"warmup_slots: must be >= 0, got {warmup_slots}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed: must be a non-negative integer, got {seed!r}")
     if policy.capacity != config.relay_queue_capacity:
         raise ValueError(
             f"probs: policy covers levels 0..{policy.capacity} but "
             f"relay_queue_capacity is {config.relay_queue_capacity}")
     b = budget if budget is not None else link_budget(config)
-    th_pd, th_ps = b.theta_pd, b.theta_ps
-    th_sd, th_sdb = b.theta_sd, b.theta_sd_shared
-    th_sr, th_srb = b.theta_sr, b.theta_sr_shared
     lam = config.pu_arrival_rate
     n_p, n_s = config.pu_queue_capacity, config.relay_queue_capacity
-    probs = policy.probs
+    n_k = n_s + 1
+    probs = np.array(policy.probs)
+    levels = np.unique(probs[1:])
+    q = np.searchsorted(levels, probs)  # level n shares iff q[n] >= rank
+
+    # code bits from the lowest: pd, ps, relay < theta_sd_shared,
+    # relay < theta_sd, arrival; the share rank sits above them
+    c_code, level = np.meshgrid(np.arange(32 * (len(levels) + 1)),
+                                np.arange(n_k), indexing="ij")
+    c_pd, c_ps, c_rb, c_rf, c_arr = (c_code >> i & 1 for i in range(5))
+    c_rank = c_code >> 5
+
+    def relay_phase(k):
+        sent = np.where(q[k] >= c_rank, c_rb, c_rf)
+        return np.where(k > 0, k - sent, 0)
+
+    pairs = [(k, d) for k in range(n_k) for d in (-1, 0, 1)]
+
+    def table(next_k, d):
+        # row code * n_k + level; the rows share the 3 * n_k tuples in
+        # pairs, so a table with many codes allocates no tuples
+        return list(map(pairs.__getitem__,
+                        (3 * next_k + d + 1).ravel().tolist()))
+
+    c_cap = (1 - c_pd) * c_ps * (level < n_s)
+    # (next relay level, primary level change) with the primary busy,
+    busy_table = table(relay_phase(level + c_cap), c_arr - (c_pd | c_cap))
+    # and (next relay level, next primary level) with it empty
+    empty_table = table(relay_phase(level), c_arr)
 
     rng = np.random.Generator(np.random.Philox(seed))
     m = 0  # primary queue level
     k = 0  # relay buffer level
-    w_hist = [0] * (n_p + 1)
-    pi_hist = [0] * (n_s + 1)
+    w_hist = np.zeros(n_p + 1, np.int64)
+    pi_hist = np.zeros(n_k, np.int64)
     arrivals = drops = delivered = departures = busy = 0
 
     total = warmup_slots + n_slots
     done = 0
     while done < total:
-        block = rng.random((min(_BLOCK, total - done), 6)).tolist()
-        for u_pd, u_ps, u_share, u_relay, u_own, u_arr in block:
-            counting = done >= warmup_slots
-            if counting:
-                w_hist[m] += 1
-            departed = False
-            if m > 0:
-                if counting:
-                    busy += 1
-                if u_pd < th_pd:
-                    m -= 1
-                    departed = True
-                elif u_ps < th_ps and k < n_s:
-                    m -= 1
-                    k += 1
-                    departed = True
-            if counting:
-                pi_hist[k] += 1
-                if departed:
-                    departures += 1
-            if k > 0:
-                if u_share < probs[k]:
-                    if u_relay < th_sdb:
-                        k -= 1
-                    if u_own < th_srb and counting:
-                        delivered += 1
-                elif u_relay < th_sd:
-                    k -= 1
-            elif u_own < th_sr and counting:
-                delivered += 1
-            if u_arr < lam:
-                if counting:
-                    arrivals += 1
-                if m < n_p:
-                    m += 1
-                elif counting:
-                    drops += 1
-            done += 1
+        u = rng.random((min(_BLOCK, total - done), 6))
+        pd = u[:, 0] < b.theta_pd
+        ps = u[:, 1] < b.theta_ps
+        rank = np.searchsorted(levels, u[:, 2], side="right")
+        arr = u[:, 5] < lam
+        code = (rank * 32 + arr * 16 + (u[:, 3] < b.theta_sd) * 8
+                + (u[:, 3] < b.theta_sd_shared) * 4 + ps * 2 + pd)
+        states = []  # m * n_k + k at the start of each slot
+        record = states.append
+        for c in (code * n_k).tolist():
+            record(m * n_k + k)
+            if m:
+                k, step = busy_table[c + k]
+                m += step
+                if m > n_p:
+                    m = n_p
+            else:
+                k, m = empty_table[c + k]
+
+        start = max(warmup_slots - done, 0)
+        done += len(u)
+        if start >= len(u):
+            continue
+        m_start, k_start = np.divmod(
+            np.fromiter(states[start:], np.int64, len(u) - start), n_k)
+        pd, ps, rank, arr = pd[start:], ps[start:], rank[start:], arr[start:]
+        u_own = u[start:, 4]
+        serving = m_start > 0
+        capture = serving & ~pd & ps & (k_start < n_s)
+        departed = serving & (pd | capture)
+        k_mid = k_start + capture
+        share = (k_mid > 0) & (q[k_mid] >= rank)
+        busy += int(np.count_nonzero(serving))
+        departures += int(np.count_nonzero(departed))
+        delivered += int(np.count_nonzero(
+            (k_mid == 0) & (u_own < b.theta_sr)
+            | share & (u_own < b.theta_sr_shared)))
+        arrivals += int(np.count_nonzero(arr))
+        drops += int(np.count_nonzero(arr & (m_start - departed == n_p)))
+        lo = int(m_start.min())
+        seen = np.bincount(m_start - lo)
+        w_hist[lo:lo + len(seen)] += seen
+        pi_hist += np.bincount(k_mid, minlength=n_k)
 
     return SimStats(
         slots=n_slots,
         pu_arrivals=arrivals,
         pu_drops=drops,
         su_packets_delivered=delivered,
-        pu_queue_histogram=tuple(w_hist),
-        relay_queue_histogram=tuple(pi_hist),
+        pu_queue_histogram=tuple(w_hist.tolist()),
+        relay_queue_histogram=tuple(pi_hist.tolist()),
         measured_mu_p=departures / busy if busy else 0.0,
         measured_mu_s=delivered / n_slots,
         measured_block_fraction=drops / arrivals if arrivals else 0.0,
@@ -163,7 +208,9 @@ def compare(config: SystemConfig, policy: AccessPolicy, n_slots: int,
     throughputs.  Half-widths are three-sigma binomial errors at the
     analytic rates (and the generic 3/sqrt(n) scale for the TV
     distance); ``within`` flags whether every gap sits inside its
-    half-width.
+    half-width.  The gaps are taken at the reported equilibrium
+    ``analytic["mu_p"]``; ``analytic["equilibria"]`` lists every
+    self-consistent primary departure rate of the policy.
     """
     seeds = list(seeds)
     if not seeds:
@@ -206,7 +253,8 @@ def compare(config: SystemConfig, policy: AccessPolicy, n_slots: int,
     return {
         "analytic": {"mu_p": ev.mu_p, "mu_s": ev.mu_s,
                      "full": ev.pu_state.full,
-                     "relay_occupancy": list(pi)},
+                     "relay_occupancy": list(pi),
+                     "equilibria": list(ev.equilibria)},
         "per_seed": per_seed,
         "max_tv_relay": max(g["tv_relay"] for g in per_seed),
         "max_gap_mu_p": max(g["gap_mu_p"] for g in per_seed),

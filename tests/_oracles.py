@@ -9,6 +9,9 @@ import itertools
 
 import numpy as np
 
+from cogrelay import link_budget
+from cogrelay.mc_sim import _BLOCK, SimStats
+
 
 def stationary(P):
     """Stationary row vector of a stochastic matrix via a linear solve."""
@@ -226,3 +229,93 @@ class GridEvaluator:
             mu = mu + 0.5 * (mu_next - mu)
         mu_s = b.theta_sr * pi[:, 0] + b.theta_sr_shared * (pi[:, 1:] * P).sum(axis=1)
         return mu_s, mu, mu >= self.floor - 1e-9
+
+
+def slot_by_slot_simulate(config, policy, n_slots, seed, warmup_slots=10_000,
+                          budget=None):
+    """``cogrelay.simulate`` restated as one Python branch per event.
+
+    Same signature, draw layout (blocks of ``_BLOCK`` slots, six
+    uniforms per slot in the order pd, ps, share, relay, own, arrival)
+    and ``SimStats``, so the package's table-driven simulator must
+    agree with it field for field.
+    """
+    if n_slots < 1:
+        raise ValueError(f"n_slots: must be >= 1, got {n_slots}")
+    if warmup_slots < 0:
+        raise ValueError(f"warmup_slots: must be >= 0, got {warmup_slots}")
+    if policy.capacity != config.relay_queue_capacity:
+        raise ValueError(
+            f"probs: policy covers levels 0..{policy.capacity} but "
+            f"relay_queue_capacity is {config.relay_queue_capacity}")
+    b = budget if budget is not None else link_budget(config)
+    th_pd, th_ps = b.theta_pd, b.theta_ps
+    th_sd, th_sdb = b.theta_sd, b.theta_sd_shared
+    th_sr, th_srb = b.theta_sr, b.theta_sr_shared
+    lam = config.pu_arrival_rate
+    n_p, n_s = config.pu_queue_capacity, config.relay_queue_capacity
+    probs = policy.probs
+
+    rng = np.random.Generator(np.random.Philox(seed))
+    m = 0  # primary queue level
+    k = 0  # relay buffer level
+    w_hist = [0] * (n_p + 1)
+    pi_hist = [0] * (n_s + 1)
+    arrivals = drops = delivered = departures = busy = 0
+
+    total = warmup_slots + n_slots
+    done = 0
+    while done < total:
+        block = rng.random((min(_BLOCK, total - done), 6)).tolist()
+        for u_pd, u_ps, u_share, u_relay, u_own, u_arr in block:
+            counting = done >= warmup_slots
+            if counting:
+                w_hist[m] += 1
+            departed = False
+            if m > 0:
+                if counting:
+                    busy += 1
+                if u_pd < th_pd:
+                    m -= 1
+                    departed = True
+                elif u_ps < th_ps and k < n_s:
+                    m -= 1
+                    k += 1
+                    departed = True
+            if counting:
+                pi_hist[k] += 1
+                if departed:
+                    departures += 1
+            if k > 0:
+                if u_share < probs[k]:
+                    if u_relay < th_sdb:
+                        k -= 1
+                    if u_own < th_srb and counting:
+                        delivered += 1
+                elif u_relay < th_sd:
+                    k -= 1
+            elif u_own < th_sr and counting:
+                delivered += 1
+            if u_arr < lam:
+                if counting:
+                    arrivals += 1
+                if m < n_p:
+                    m += 1
+                elif counting:
+                    drops += 1
+            done += 1
+
+    return SimStats(
+        slots=n_slots,
+        pu_arrivals=arrivals,
+        pu_drops=drops,
+        su_packets_delivered=delivered,
+        pu_queue_histogram=tuple(w_hist),
+        relay_queue_histogram=tuple(pi_hist),
+        measured_mu_p=departures / busy if busy else 0.0,
+        measured_mu_s=delivered / n_slots,
+        measured_block_fraction=drops / arrivals if arrivals else 0.0,
+        rng_seed=seed,
+        final_pu_queue=m,
+        final_relay_queue=k,
+    )

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from cogrelay import AccessPolicy, SystemConfig
+from cogrelay import AccessPolicy, SystemConfig, experiments_cli
 from cogrelay.experiments_cli import (apply_sweep_value, load_spec, main,
                                       run_single, run_sweep, validate_config)
 
@@ -280,3 +280,25 @@ def test_cli_optimize_and_simulate(capsys):
     out = capsys.readouterr().out
     assert "sim seed=3:" in out
     assert "tv_relay=" in out
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--slots", "0"], "error: slots: must be >= 1, got 0"),
+    (["--slots", "100", "--warmup", "-1"],
+     "error: warmup: must be >= 0, got -1"),
+    (["--slots", "100", "--seed", "-3"],
+     "error: seed: must be a non-negative integer, got -3"),
+    (["--slots", "100", "--seeds", "1,-2"],
+     "error: seed: must be a non-negative integer, got -2"),
+])
+def test_cli_simulate_rejects_bad_numbers_before_searching(
+        capsys, monkeypatch, flags, message):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before checking the arguments")
+
+    monkeypatch.setattr(experiments_cli, "run_single", no_search)
+    rc = main(["simulate", "--config", DEFAULTS_CFG] + flags)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "Traceback" not in captured.err
+    assert message in captured.err.splitlines()

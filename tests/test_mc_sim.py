@@ -3,8 +3,10 @@ import math
 
 import pytest
 
+from _oracles import slot_by_slot_simulate
 from cogrelay import (AccessPolicy, LinkBudget, SystemConfig, compare,
                       evaluate_policy, optimal_policy, simulate)
+from cogrelay.mc_sim import _BLOCK
 
 HALF = AccessPolicy((1.0,) + (0.5,) * 10)
 
@@ -78,6 +80,64 @@ def test_input_validation(defaults):
         compare(defaults, HALF, n_slots=10, seeds=())
 
 
+def test_negative_seed_is_named(defaults):
+    with pytest.raises(ValueError, match="seed: must be a non-negative "
+                                         "integer, got -3"):
+        simulate(defaults, HALF, n_slots=10, seed=-3)
+
+
+def test_non_integer_seed_is_named(defaults):
+    with pytest.raises(ValueError, match="seed: must be a non-negative "
+                                         "integer, got 1.5"):
+        simulate(defaults, HALF, n_slots=10, seed=1.5)
+    with pytest.raises(ValueError, match="seed: must be a non-negative "
+                                         "integer, got '7'"):
+        simulate(defaults, HALF, n_slots=10, seed="7")
+
+
+_LONG = 2 * _BLOCK + 7
+_POLICIES = {
+    "uniform": (0.5,) * 10,
+    "step": (1.0,) * 4 + (0.0,) * 6,
+    "arbitrary": (0.91, 0.13, 0.47, 0.02, 0.66, 0.38, 0.999, 0.25, 0.71,
+                  0.5),
+    # repeated levels, including levels exactly 0 and 1
+    "repeated": (0.0, 1.0, 0.3, 0.3, 1.0, 0.0, 0.3, 1.0, 0.0, 0.3),
+}
+
+
+@pytest.mark.parametrize(
+    "n_p, lam, kind, warmup, n_slots, budget_edit", [
+        (1, 0.37, "uniform", 0, _LONG, {}),
+        (12, 0.37, "step", 5000, _LONG, {}),
+        (10 ** 6, 0.37, "arbitrary", _BLOCK + 123, _LONG, {}),
+        (12, 0.0, "uniform", 0, _LONG, {}),
+        (12, 1.0, "repeated", 5000, _LONG, {}),
+        (1, 1.0, "arbitrary", _BLOCK + 123, 1, {}),
+        (10 ** 6, 1.0, "step", 0, 1, {}),
+        (10 ** 6, 0.0, "repeated", 5000, 1, {}),
+        (12, 0.37, "repeated", _BLOCK + 123, _LONG, {"theta_pd": 1.0}),
+        (1, 0.37, "arbitrary", 5000, _LONG, {"theta_ps": 0.0}),
+        (12, 0.8, "repeated", 0, _LONG, {"theta_pd": 0.2, "theta_ps": 0.9}),
+    ])
+def test_table_driven_simulator_is_bit_identical(defaults, budget, n_p, lam,
+                                                  kind, warmup, n_slots,
+                                                  budget_edit):
+    # the slot-by-slot restatement draws the same Philox stream, so
+    # every count must agree exactly, not just statistically
+    cfg = dataclasses.replace(defaults, pu_queue_capacity=n_p,
+                              pu_arrival_rate=lam)
+    policy = AccessPolicy((1.0,) + _POLICIES[kind])
+    b = dataclasses.replace(budget, **budget_edit)
+    got = simulate(cfg, policy, n_slots, seed=2024, warmup_slots=warmup,
+                   budget=b)
+    want = slot_by_slot_simulate(cfg, policy, n_slots, seed=2024,
+                                 warmup_slots=warmup, budget=b)
+    for field in dataclasses.fields(want):
+        assert getattr(got, field.name) == getattr(want, field.name), \
+            field.name
+
+
 def test_trajectories_track_the_fixed_point():
     cfg = dataclasses.replace(SystemConfig(), pu_arrival_rate=0.2,
                               relay_queue_capacity=3)
@@ -99,6 +159,8 @@ def test_comparison_report_shape():
     assert ana["mu_p"] == pytest.approx(ev.mu_p)
     assert ana["mu_s"] == pytest.approx(ev.mu_s)
     assert len(ana["relay_occupancy"]) == 6
+    assert ana["equilibria"] == list(ev.equilibria)
+    assert ana["mu_p"] in ana["equilibria"]
     assert len(out["per_seed"]) == 2
     for row in out["per_seed"]:
         assert set(row) >= {"seed", "tv_relay", "hw_tv", "gap_mu_p",
