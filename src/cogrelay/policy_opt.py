@@ -5,8 +5,9 @@ relay balance equations become linear in the pair (occupancy, shared
 occupancy), solves the resulting LP for each target on a grid, and
 keeps the best vertex whose policy re-evaluates to a feasible
 equilibrium at the LP's own score.  The restricted searches use a
-single constant sharing probability (scalar line search) or a
-threshold rule (enumeration).
+single constant sharing probability (a 65-point scan of it, refined at
+feasibility edges and at the best point) or a threshold rule
+(enumeration).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import lp_core
 from .link_model import LinkBudget, SystemConfig, link_budget
-from .queue_analytics import (AccessPolicy, evaluate_policy,
+from .queue_analytics import (AccessPolicy, _brent, evaluate_policy,
                               min_departure_rate, pu_busy_probability)
 
 __all__ = [
@@ -35,12 +36,17 @@ __all__ = [
 
 _PAD = 1e-9  # widens the attainable window past fixed-point tolerance noise
 _SCORE_TOL = 1e-6  # LP score vs. re-evaluated throughput, to accept a vertex
+_CPT_STEPS = 64  # the CPT scan scores p = k / _CPT_STEPS
+_EDGE_TOL = 1e-12  # bracket width left around a CPT feasibility edge
+_PEAK_TOL = 1e-7  # golden-section bracket width left around the CPT peak
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class SweepPoint(NamedTuple):
     mu_p: float
     objective: float
     status: str
+    share_prob: float = math.nan  # the p a CPT point scored
 
 
 @dataclass(frozen=True)
@@ -299,65 +305,75 @@ def _step_policy(n_th: int, n_s: int) -> AccessPolicy:
 
 def cpt_policy(config: SystemConfig,
                budget: Optional[LinkBudget] = None) -> OptimizationResult:
-    """Best constant sharing probability.
+    """Best constant sharing probability, in about 100 evaluations.
 
-    Each candidate p is scored through the self-consistent fixed
-    point.  The score is expected to be unimodal in p, so a
-    golden-section search does the heavy lifting; a 0.001-step grid
-    scan runs alongside as a safety net and wins whenever it finds a
-    better point.  Every equilibrium of any policy lies inside the
-    closed-form target window, so when that window is empty no policy
-    is feasible and nothing is scored.
+    A 65-point scan of p (k / 64) is refined twice: Brent's method
+    narrows every feasibility edge between scan points to ``_EDGE_TOL``
+    and keeps its feasible end, and a golden section narrows the best
+    scan point's two neighbouring steps, clipped to the feasible side,
+    to ``_PEAK_TOL``.  The best point scored wins, ties going to the
+    smaller p.  ``diagnostics`` lists every scored p in order, with
+    status "scan", "edge" or "peak".  An empty target window holds no
+    equilibrium, so then nothing is scored.
     """
     b = budget if budget is not None else link_budget(config)
     if feasible_mu_p_range(config, b) is None:
         return _infeasible("cpt")
     n_s = config.relay_queue_capacity
+    # the window is nonempty, so the floor exists; evaluate_policy calls
+    # a policy feasible when its lowest equilibrium is >= floor - 1e-9
+    level = min_departure_rate(config.pu_arrival_rate,
+                               config.pu_queue_capacity,
+                               config.loss_threshold) - 1e-9
+    scored = {}  # p -> (score, evaluation, status)
 
-    cache = {}
-
-    def score(p):
-        key = round(p, 12)
-        if key not in cache:
+    def score(p, status):
+        if p not in scored:
             ev = evaluate_policy(config, _uniform_policy(p, n_s), budget=b)
-            cache[key] = (ev.mu_s if ev.feasible else -math.inf, ev)
-        return cache[key][0]
+            scored[p] = (ev.mu_s if ev.feasible else -math.inf, ev, status)
+        return scored[p][0]
 
-    # golden-section bracket shrink on [0, 1]
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = 0.0, 1.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = score(x1), score(x2)
-    for _ in range(60):
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = score(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = score(x2)
-    golden_p = x1 if f1 >= f2 else x2
+    def edge(ok, bad):
+        # the lowest equilibrium can jump down where a new one appears,
+        # so the point kept is the feasible end of the final bracket
+        bracket = [ok, bad]
 
-    best_p, best_val = golden_p, score(golden_p)
-    for k in range(1001):
-        p = k / 1000.0
-        v = score(p)
-        if v > best_val:
-            best_p, best_val = p, v
-    if not math.isfinite(best_val):
-        return _infeasible("cpt")
-    _, evaluation = cache[round(best_p, 12)]
-    diagnostics = tuple(SweepPoint(cache[round(k / 1000.0, 12)][1].mu_p,
-                                   cache[round(k / 1000.0, 12)][0],
-                                   "scored")
-                        for k in range(0, 1001, 50))
+        def margin(p):  # positive exactly where p is feasible
+            feasible = score(p, "edge") > -math.inf
+            bracket[not feasible] = p
+            gap = scored[p][1].equilibria[0] - level
+            return max(gap, 1e-18) if feasible else gap
+
+        _brent(margin, ok, bad, margin(ok), margin(bad), xtol=_EDGE_TOL)
+        while abs(bracket[1] - bracket[0]) > _EDGE_TOL:
+            margin(0.5 * (bracket[0] + bracket[1]))
+        return bracket[0]
+
+    grid = [k / _CPT_STEPS for k in range(_CPT_STEPS + 1)]
+    ok = [score(p, "scan") > -math.inf for p in grid]
+    ends = {k: edge(grid[k], grid[k + 1]) if ok[k]
+            else edge(grid[k + 1], grid[k])
+            for k in range(_CPT_STEPS) if ok[k] != ok[k + 1]}
+    i = max(range(_CPT_STEPS + 1), key=lambda k: (scored[grid[k]][0], -k))
+    if ok[i]:
+        lo = ends.get(i - 1, grid[max(i - 1, 0)])
+        hi = ends.get(i, grid[min(i + 1, _CPT_STEPS)])
+        x1, x2 = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+        while hi - lo > _PEAK_TOL:
+            if score(x1, "peak") >= score(x2, "peak"):
+                hi, x2, x1 = x2, x1, x2 - _INV_PHI * (x2 - lo)
+            else:
+                lo, x1, x2 = x1, x2, x1 + _INV_PHI * (hi - x1)
+    diagnostics = tuple(SweepPoint(ev.mu_p, val, status, p)
+                        for p, (val, ev, status) in sorted(scored.items()))
+    best = max(diagnostics, key=lambda d: (d.objective, -d.share_prob))
+    if best.objective == -math.inf:
+        return _infeasible("cpt", diagnostics)
+    ev = scored[best.share_prob][1]
     return OptimizationResult(method="cpt", status="ok",
-                              policy=_uniform_policy(best_p, n_s),
-                              evaluation=evaluation,
-                              swept_mu_p=evaluation.mu_p,
-                              objective=best_val,
+                              policy=_uniform_policy(best.share_prob, n_s),
+                              evaluation=ev, swept_mu_p=ev.mu_p,
+                              objective=best.objective,
                               diagnostics=diagnostics)
 
 

@@ -6,11 +6,15 @@ agreement with the package is evidence rather than tautology.
 """
 
 import itertools
+import math
 
 import numpy as np
 
-from cogrelay import link_budget
+from cogrelay import evaluate_policy, link_budget
 from cogrelay.mc_sim import _BLOCK, SimStats
+from cogrelay.policy_opt import (OptimizationResult, SweepPoint,
+                                 _infeasible, _uniform_policy,
+                                 feasible_mu_p_range)
 
 
 def stationary(P):
@@ -319,3 +323,70 @@ def slot_by_slot_simulate(config, policy, n_slots, seed, warmup_slots=10_000,
         final_pu_queue=m,
         final_relay_queue=k,
     )
+
+
+def golden_and_scan_cpt(config, budget=None):
+    """The constant-probability search as first written, kept as a reference.
+
+    Golden section on [0, 1] plus a 1001-point scan of p, about a
+    thousand evaluations per search; the package's CPT search must
+    never score below it.  What follows is its original description.
+
+    Each candidate p is scored through the self-consistent fixed
+    point.  The score is expected to be unimodal in p, so a
+    golden-section search does the heavy lifting; a 0.001-step grid
+    scan runs alongside as a safety net and wins whenever it finds a
+    better point.  Every equilibrium of any policy lies inside the
+    closed-form target window, so when that window is empty no policy
+    is feasible and nothing is scored.
+    """
+    b = budget if budget is not None else link_budget(config)
+    if feasible_mu_p_range(config, b) is None:
+        return _infeasible("cpt")
+    n_s = config.relay_queue_capacity
+
+    cache = {}
+
+    def score(p):
+        key = round(p, 12)
+        if key not in cache:
+            ev = evaluate_policy(config, _uniform_policy(p, n_s), budget=b)
+            cache[key] = (ev.mu_s if ev.feasible else -math.inf, ev)
+        return cache[key][0]
+
+    # golden-section bracket shrink on [0, 1]
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = 0.0, 1.0
+    x1 = hi - inv_phi * (hi - lo)
+    x2 = lo + inv_phi * (hi - lo)
+    f1, f2 = score(x1), score(x2)
+    for _ in range(60):
+        if f1 >= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - inv_phi * (hi - lo)
+            f1 = score(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + inv_phi * (hi - lo)
+            f2 = score(x2)
+    golden_p = x1 if f1 >= f2 else x2
+
+    best_p, best_val = golden_p, score(golden_p)
+    for k in range(1001):
+        p = k / 1000.0
+        v = score(p)
+        if v > best_val:
+            best_p, best_val = p, v
+    if not math.isfinite(best_val):
+        return _infeasible("cpt")
+    _, evaluation = cache[round(best_p, 12)]
+    diagnostics = tuple(SweepPoint(cache[round(k / 1000.0, 12)][1].mu_p,
+                                   cache[round(k / 1000.0, 12)][0],
+                                   "scored")
+                        for k in range(0, 1001, 50))
+    return OptimizationResult(method="cpt", status="ok",
+                              policy=_uniform_policy(best_p, n_s),
+                              evaluation=evaluation,
+                              swept_mu_p=evaluation.mu_p,
+                              objective=best_val,
+                              diagnostics=diagnostics)

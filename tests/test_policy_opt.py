@@ -2,16 +2,19 @@ import dataclasses
 import itertools
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from _oracles import golden_and_scan_cpt
 from cogrelay import (AccessPolicy, SystemConfig, cpt_policy, evaluate_policy,
                       link_budget, lp_core, optimal_policy, policy_opt,
                       st_policy)
-from cogrelay.experiments_cli import load_spec
+from cogrelay.experiments_cli import apply_sweep_value, load_spec
 from cogrelay.policy_opt import (attainable_mu_p_range, build_lp,
                                  feasible_mu_p_range)
+from cogrelay.queue_analytics import min_departure_rate
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -140,13 +143,15 @@ def test_singular_basis_drops_the_grid_point():
 
 def test_zero_capture_gives_full_throughput(defaults):
     # a zero-length packet crosses every link, so nothing is ever
-    # captured and the secondary keeps its whole phase
+    # captured and the secondary keeps its whole phase; every policy
+    # scores the same, and each search settles on never sharing
     cfg = dataclasses.replace(defaults, bits_per_bandwidth=0.0)
-    r = optimal_policy(cfg)
-    assert r.status == "ok"
-    assert r.evaluation.feasible
-    assert r.mu_s == pytest.approx(1.0, abs=1e-12)
-    assert r.policy.probs == (1.0,) + (0.0,) * cfg.relay_queue_capacity
+    for search in (optimal_policy, cpt_policy, st_policy):
+        r = search(cfg)
+        assert r.status == "ok", search.__name__
+        assert r.evaluation.feasible
+        assert r.mu_s == pytest.approx(1.0, abs=1e-12)
+        assert r.policy.probs == (1.0,) + (0.0,) * cfg.relay_queue_capacity
 
 
 def test_unverifiable_vertices_yield_no_policy(defaults, monkeypatch):
@@ -222,6 +227,129 @@ def test_cpt_tracks_its_own_grid(defaults, budget):
 def test_cpt_never_beats_lp(defaults):
     lp = optimal_policy(defaults, grid_points=60)
     assert cpt_policy(defaults).mu_s <= lp.mu_s + 1e-9
+
+
+def test_cpt_scores_about_a_hundred_points(defaults, monkeypatch):
+    # a 65-point scan plus the refinements; a return to a dense scan
+    # of p would cost a thousand evaluations
+    calls = []
+    real = policy_opt.evaluate_policy
+    monkeypatch.setattr(policy_opt, "evaluate_policy",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    r = cpt_policy(defaults)
+    assert r.status == "ok"
+    assert len(r.diagnostics) == len(calls) <= 150
+
+
+def test_cpt_diagnostics_list_every_scored_point():
+    # the time-share cell at alpha = 0.15 has a feasibility edge between
+    # two scan points, so all three stages score points there
+    spec, errors = load_spec(str(CONFIGS / "sweep_time_share.spec"))
+    assert errors == []
+    cfg = apply_sweep_value(spec.base, "alpha", 0.15)
+    r = cpt_policy(cfg)
+    probs = [d.share_prob for d in r.diagnostics]
+    assert probs == sorted(set(probs))
+    assert {d.status for d in r.diagnostics} == {"scan", "edge", "peak"}
+    assert [d.share_prob for d in r.diagnostics if d.status == "scan"] == [
+        k / 64 for k in range(65)]
+    picked = [d for d in r.diagnostics if d.share_prob == r.policy.probs[1]]
+    assert len(picked) == 1
+    assert picked[0].objective == r.objective == r.mu_s
+    assert picked[0].mu_p == r.evaluation.mu_p
+    assert max(d.objective for d in r.diagnostics) == r.objective
+    # the optimum sits on the edge: a hair more sharing is infeasible
+    above = [d for d in r.diagnostics if d.share_prob > r.policy.probs[1]]
+    assert above[0].objective == -math.inf
+    assert above[0].share_prob - r.policy.probs[1] <= 1e-12
+
+
+def fake_uniform_evaluations(monkeypatch, config, mu_s, lowest):
+    """Stand in for evaluate_policy with made-up functions of p.
+
+    A uniform policy with sharing probability p scores ``mu_s(p)`` and
+    has the one equilibrium ``lowest(p, floor)``, feasible by the
+    evaluator's own test.
+    """
+    floor = min_departure_rate(config.pu_arrival_rate,
+                               config.pu_queue_capacity, config.loss_threshold)
+
+    def evaluate(config, policy, budget=None):
+        p = policy.probs[1]
+        low = lowest(p, floor)
+        return SimpleNamespace(mu_p=low, mu_s=mu_s(p), equilibria=(low,),
+                               feasible=low >= floor - 1e-9)
+
+    monkeypatch.setattr(policy_opt, "evaluate_policy", evaluate)
+
+
+def picked_from(r):
+    return [d.status for d in r.diagnostics
+            if d.share_prob == r.policy.probs[1]]
+
+
+def test_cpt_refines_an_interior_peak(defaults, monkeypatch):
+    # no bundled cell has its optimum between scan points away from an
+    # edge, so a made-up score puts one at p = 0.3
+    fake_uniform_evaluations(monkeypatch, defaults,
+                             lambda p: 0.5 - (p - 0.3) ** 2,
+                             lambda p, floor: floor + 0.1)
+    r = cpt_policy(defaults)
+    assert abs(r.policy.probs[1] - 0.3) <= 1e-7
+    assert picked_from(r) == ["peak"]
+
+
+@pytest.mark.parametrize("jump", [False, True])
+def test_cpt_keeps_the_feasible_end_of_an_edge(defaults, monkeypatch, jump):
+    # the score rises with p, and p is feasible up to 0.4321: there the
+    # lowest equilibrium crosses the floor smoothly, or jumps below it
+    # as a new root appears
+    edge = 0.4321
+
+    def lowest(p, floor):
+        if jump:
+            return floor + (0.01 if p <= edge else -0.01)
+        return floor - 1e-9 + (edge - p)
+
+    fake_uniform_evaluations(monkeypatch, defaults, lambda p: p, lowest)
+    r = cpt_policy(defaults)
+    assert r.evaluation.feasible
+    assert abs(r.policy.probs[1] - edge) <= 1e-12
+    assert picked_from(r) == ["edge"]
+    above = [d for d in r.diagnostics if d.share_prob > r.policy.probs[1]]
+    assert above[0].objective == -math.inf
+
+
+def test_cpt_edge_falls_back_to_bisection(defaults, monkeypatch):
+    # should Brent's method stop short, bisection still narrows the edge
+    monkeypatch.setattr(policy_opt, "_brent", lambda f, a, b, *rest, **kw: b)
+    edge = 0.4321
+    fake_uniform_evaluations(monkeypatch, defaults, lambda p: p,
+                             lambda p, floor: floor - 1e-9 + (edge - p))
+    r = cpt_policy(defaults)
+    assert abs(r.policy.probs[1] - edge) <= 1e-12
+    assert picked_from(r) == ["edge"]
+
+
+def test_cpt_never_scores_below_the_golden_and_scan_search():
+    # the search this one replaced, golden section plus a 1001-point
+    # scan, on every cell of every bundled sweep
+    cells = 0
+    for path in sorted(CONFIGS.glob("sweep_*.spec")):
+        spec, errors = load_spec(str(path))
+        assert errors == []
+        for value in spec.sweep_values:
+            cfg = apply_sweep_value(spec.base, spec.sweep_variable, value)
+            ref, new = golden_and_scan_cpt(cfg), cpt_policy(cfg)
+            assert new.status == ref.status, (path.name, value)
+            assert new.mu_s >= ref.mu_s - 1e-12, (path.name, value)
+            if spec.sweep_variable == "alpha" and value == 0.15:
+                # unimodality fails here and the optimum sits on the
+                # feasibility edge, which golden section misses
+                assert new.mu_s >= 0.15414868112
+                assert 0.254 < new.policy.probs[1] < 0.255
+            cells += 1
+    assert cells == 132
 
 
 def test_cpt_skips_scoring_when_no_rate_is_feasible(defaults, monkeypatch):
