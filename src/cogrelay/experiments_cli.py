@@ -158,6 +158,29 @@ def _sweep_domain_error(variable, value, base):
     return None
 
 
+def _run_setting_errors(n_slots=1, warmup_slots=0, seeds=(1,), grid_points=2,
+                        names=None):
+    """One message per run setting out of range, checked before any run.
+
+    Sweep specs and the command line share these rules; ``names`` maps
+    a setting to the command-line flag it came from.
+    """
+    names = names or {}
+    errors = []
+    for key, value, least in (("n_slots", n_slots, 1),
+                              ("warmup_slots", warmup_slots, 0),
+                              ("grid_points", grid_points, 2)):
+        if value < least:
+            errors.append(f"{names.get(key, key)}: must be >= {least}, "
+                          f"got {value}")
+    if not seeds:
+        errors.append("seeds: empty")
+    for seed in seeds:
+        if seed < 0:
+            errors.append(f"seed: must be a non-negative integer, got {seed}")
+    return errors
+
+
 def load_spec(path, overrides=None):
     """Parse a sweep spec file: base config keys plus sweep keys."""
     raw, errors = _parse_kv_file(path)
@@ -205,6 +228,8 @@ def load_spec(path, overrides=None):
     warmup = intkey("warmup_slots", 10_000)
     grid = intkey("grid_points", 200)
     seeds = _parse_list(spec_raw.get("seeds", "1"), int, "seeds", errors)
+    errors.extend(_run_setting_errors(n_slots=n_slots, warmup_slots=warmup,
+                                      seeds=seeds, grid_points=grid))
 
     if base is not None and variable in _SWEEP_VARIABLES:
         for v in values:
@@ -501,23 +526,20 @@ def main(argv=None) -> int:
         run_single(config, policy=policy)
         return 0
 
+    # every number is checked before any search runs
     if args.command == "optimize":
+        errors = _run_setting_errors(grid_points=args.grid)
+        if errors:
+            return _fail(errors)
         run_single(config, method=args.method, grid_points=args.grid)
         return 0
 
-    # simulate: every number is checked before any search runs
-    if args.slots < 1:
-        errors.append(f"slots: must be >= 1, got {args.slots}")
-    if args.warmup < 0:
-        errors.append(f"warmup: must be >= 0, got {args.warmup}")
     seeds = (args.seed,)
     if args.seeds:
         seeds = _parse_list(args.seeds, int, "seeds", errors)
-        if not seeds and not errors:
-            errors.append("seeds: empty")
-    for seed in seeds:
-        if seed < 0:
-            errors.append(f"seed: must be a non-negative integer, got {seed}")
+    errors.extend(_run_setting_errors(
+        n_slots=args.slots, warmup_slots=args.warmup, seeds=seeds,
+        names={"n_slots": "slots", "warmup_slots": "warmup"}))
     if errors:
         return _fail(errors)
     policy = None

@@ -6,6 +6,12 @@ problems in this package: a few dozen variables, equality rows from
 balance equations, inequality rows from probability budgets, and box
 bounds on everything.  Dense numpy factorizations are plenty at that
 size; no sparse machinery, no external solver.
+
+``solve_family`` solves a sequence of problems that differ only in
+their equality rows, each starting from the last optimal basis.  It
+tests that basis on a whole block of members with stacked linear
+algebra, so only the members where the basis stops being optimal pay
+for a simplex solve.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["LpProblem", "LpSolution", "solve", "verify"]
+__all__ = ["LpProblem", "LpSolution", "solve", "solve_family", "verify"]
 
 _AT_LO, _AT_UP, _BASIC = 0, 1, 2
 
@@ -87,6 +93,11 @@ class LpSolution:
     # for ``solve(..., start=...)``; None unless optimal with no
     # artificial left in the basis
     basis: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    # simplex steps (bound flips included) of (phase one, phase two);
+    # phase one also counts the pivots that move leftover artificials
+    # out.  ``warm`` when phase two started from the given ``start``
+    pivots: Tuple[int, int] = (0, 0)
+    warm: bool = False
 
 
 def _simplex(a, b, cost, lo, up, basis, status, allowed):
@@ -96,9 +107,9 @@ def _simplex(a, b, cost, lo, up, basis, status, allowed):
     column lower-bound, upper-bound or basic; ``allowed`` masks columns
     permitted to enter (artificials are barred in phase two).  Mutates
     basis/status in place and returns the final basic values, or None
-    when the phase is unbounded.
+    when the phase is unbounded, with the number of steps taken.
     """
-    for _ in range(50000):
+    for steps_taken in range(50000):
         bmat = a[:, basis]
         xv = np.where(status == _AT_UP, up, lo)
         xv[basis] = 0.0
@@ -110,7 +121,7 @@ def _simplex(a, b, cost, lo, up, basis, status, allowed):
         eligible = allowed & (((status == _AT_LO) & (reduced < -_COST_TOL))
                               | ((status == _AT_UP) & (reduced > _COST_TOL)))
         if not eligible.any():
-            return x_basic
+            return x_basic, steps_taken
         entering = int(np.argmax(eligible))
         direction = 1 if status[entering] == _AT_LO else -1
 
@@ -128,7 +139,7 @@ def _simplex(a, b, cost, lo, up, basis, status, allowed):
             variables = np.append(variables, entering)
             rows = np.append(rows, -1)
         if steps.size == 0:
-            return None  # nothing blocks the step: unbounded ray
+            return None, steps_taken  # nothing blocks the step: unbounded ray
         # among (near-)blocking candidates pick the smallest variable
         # index, again Bland
         blocking = np.flatnonzero(steps <= steps.min() + 1e-12)
@@ -164,12 +175,43 @@ def solve(problem: LpProblem, start=None) -> LpSolution:
                            "degenerate") from exc
 
 
+def _standard_form(a_eq, b_eq, a_ub, b_ub, bounds):
+    """Rows, right-hand side, column bounds and cold column statuses.
+
+    Columns are the real variables, one slack per inequality row, then
+    one artificial per row, signed so that it starts nonnegative.  The
+    equality rows may carry a leading axis of members that share the
+    inequality rows and bounds; ``a`` and ``b`` then carry it too.
+    """
+    n, m_eq, m_ub = a_eq.shape[-1], a_eq.shape[-2], a_ub.shape[0]
+    m = m_eq + m_ub
+    n_real = n + m_ub
+    a = np.zeros(a_eq.shape[:-2] + (m, n_real + m))
+    a[..., :m_eq, :n] = a_eq
+    a[..., m_eq:, :n] = a_ub
+    a[..., m_eq:, n:n_real] = np.eye(m_ub)
+    b = np.concatenate([b_eq, np.broadcast_to(b_ub, b_eq.shape[:-1] + (m_ub,))],
+                       axis=-1)
+
+    lo = np.zeros(n_real + m)
+    up = np.full(n_real + m, np.inf)
+    for j, (l, h) in enumerate(bounds):
+        lo[j], up[j] = l, h
+    status = np.full(n_real + m, _AT_LO, dtype=np.int8)
+    status[:n_real][~np.isfinite(lo[:n_real])] = _AT_UP
+
+    xv = np.where(status[:n_real] == _AT_UP, up[:n_real], lo[:n_real])
+    resid = b - a[..., :n_real] @ xv
+    a[..., range(m), range(n_real, n_real + m)] = np.where(resid >= 0.0,
+                                                           1.0, -1.0)
+    return a, b, lo, up, status, n_real
+
+
 def _solve(problem, start):
     a_eq, b_eq = problem.eq_constraints
     a_ub, b_ub = problem.ineq_constraints
     n = problem.n_vars
-    m_eq, m_ub = a_eq.shape[0], a_ub.shape[0]
-    m = m_eq + m_ub
+    m = a_eq.shape[0] + a_ub.shape[0]
 
     if m == 0:
         # pure box problem: optimize each coordinate independently
@@ -183,33 +225,9 @@ def _solve(problem, start):
         return LpSolution(status="optimal", values=x,
                           objective_value=float(problem.objective @ x))
 
-    # standard form: real variables, then one slack per inequality row
-    a = np.zeros((m, n + m_ub + m))
-    a[:m_eq, :n] = a_eq
-    a[m_eq:, :n] = a_ub
-    a[m_eq:, n:n + m_ub] = np.eye(m_ub)
-    b = np.concatenate([b_eq, b_ub])
-    n_real = n + m_ub
-
-    lo = np.zeros(n_real + m)
-    up = np.full(n_real + m, np.inf)
-    for j, (l, h) in enumerate(problem.bounds):
-        lo[j], up[j] = l, h
-
-    status = np.full(n_real + m, _AT_LO, dtype=np.int8)
-    for j in range(n_real):
-        if not np.isfinite(lo[j]):
-            status[j] = _AT_UP
-
-    # artificial columns carry the sign of the start residual so their
-    # values begin nonnegative
-    xv = np.where(status[:n_real] == _AT_UP, up[:n_real], lo[:n_real])
-    resid = b - a[:, :n_real] @ xv
-    for i in range(m):
-        a[i, n_real + i] = 1.0 if resid[i] >= 0.0 else -1.0
-
-    phase2_cost = np.zeros(n_real + m)
-    phase2_cost[:n] = -problem.objective  # maximize via negated minimize
+    a, b, lo, up, status, n_real = _standard_form(a_eq, b_eq, a_ub, b_ub,
+                                                  problem.bounds)
+    phase2_cost = _phase_two_cost(problem.objective, n_real + m)
 
     if start is not None:
         warm = _warm_basis(a, b, lo, up, start, n_real)
@@ -220,7 +238,8 @@ def _solve(problem, start):
             allowed = np.ones(n_real + m, dtype=bool)
             allowed[n_real:] = False
             solution = _phase_two(problem, a, b, phase2_cost, lo, up_w,
-                                  basis, warm_status, allowed, n_real)
+                                  basis, warm_status, allowed, n_real,
+                                  phase_one=0, warm=True)
             if solution is not None:
                 return solution
 
@@ -230,12 +249,14 @@ def _solve(problem, start):
 
     phase1_cost = np.zeros(n_real + m)
     phase1_cost[n_real:] = 1.0
-    x_basic = _simplex(a, b, phase1_cost, lo, up, basis, status, allowed)
+    x_basic, phase_one = _simplex(a, b, phase1_cost, lo, up, basis, status,
+                                  allowed)
     if x_basic is None:
         raise RuntimeError("phase one cannot be unbounded")
     art_total = sum(x_basic[i] for i in range(m) if basis[i] >= n_real)
     if art_total > _FEAS_TOL:
-        return LpSolution(status="infeasible", values=None, objective_value=None)
+        return LpSolution(status="infeasible", values=None, objective_value=None,
+                          pivots=(phase_one, 0))
 
     # pivot leftover artificials out where a solid column exists; pick
     # the largest pivot, and refuse near-singular ones outright (a
@@ -255,18 +276,25 @@ def _solve(problem, start):
             status[basis[i]] = _AT_LO
             basis[i] = pick
             status[pick] = _BASIC
+            phase_one += 1
     lo[n_real:] = 0.0
     up[n_real:] = 0.0
     allowed[n_real:] = False
 
     solution = _phase_two(problem, a, b, phase2_cost, lo, up, basis, status,
-                          allowed, n_real)
+                          allowed, n_real, phase_one=phase_one, warm=False)
     # a degenerate basis must fail loudly rather than masquerade as an
     # optimal vertex
     if solution is None:
         raise RuntimeError("solve produced an infeasible basis; "
                            "problem is numerically degenerate")
     return solution
+
+
+def _phase_two_cost(objective, width):
+    cost = np.zeros(width)
+    cost[:objective.size] = -objective  # maximize via negated minimize
+    return cost
 
 
 def _warm_basis(a, b, lo, up, start, n_real):
@@ -280,8 +308,7 @@ def _warm_basis(a, b, lo, up, start, n_real):
     if rows.shape != (m,) or real_status.shape != (n_real,):
         return None
     basis = rows.copy()
-    status = np.full(n_real + m, _AT_LO, dtype=np.int8)
-    status[:n_real] = real_status
+    status = _start_status(real_status, m)
     xv = np.where(status == _AT_UP, up, lo)
     xv[basis] = 0.0
     try:
@@ -294,16 +321,26 @@ def _warm_basis(a, b, lo, up, start, n_real):
     return basis, status
 
 
-def _phase_two(problem, a, b, cost, lo, up, basis, status, allowed, n_real):
+def _start_status(real_status, m):
+    """Column statuses of a carried basis, artificials at zero."""
+    status = np.full(real_status.size + m, _AT_LO, dtype=np.int8)
+    status[:real_status.size] = real_status
+    return status
+
+
+def _phase_two(problem, a, b, cost, lo, up, basis, status, allowed, n_real,
+               phase_one, warm):
     """Phase two from a primal-feasible basis.
 
     Returns the solution ("optimal" or "unbounded"), or None when the
     optimal basis violates the constraints by more than 1e-6.
     """
     n = problem.n_vars
-    x_basic = _simplex(a, b, cost, lo, up, basis, status, allowed)
+    x_basic, phase_two = _simplex(a, b, cost, lo, up, basis, status, allowed)
+    pivots = (phase_one, phase_two)
     if x_basic is None:
-        return LpSolution(status="unbounded", values=None, objective_value=None)
+        return LpSolution(status="unbounded", values=None, objective_value=None,
+                          pivots=pivots, warm=warm)
 
     x = np.where(status == _AT_UP, up, lo)
     x[~np.isfinite(x)] = 0.0
@@ -316,7 +353,108 @@ def _phase_two(problem, a, b, cost, lo, up, basis, status, allowed, n_real):
         start = (basis.copy(), status[:n_real].copy())
     return LpSolution(status="optimal", values=values,
                       objective_value=float(problem.objective @ values),
-                      basis=start)
+                      basis=start, pivots=pivots, warm=warm)
+
+
+def solve_family(objective, eq_blocks, ineq_constraints=None, bounds=None):
+    """Solve, in order, problems that differ only in their equality rows.
+
+    ``eq_blocks`` yields blocks of members as stacks (a_eq of shape
+    (k, m_eq, n), b_eq of shape (k, m_eq)); the objective, inequality
+    rows and bounds are shared, as in ``LpProblem``.  Yields one entry
+    per member, exactly what this loop gives:
+
+        basis = None
+        for problem in family:
+            solution = solve(problem, start=basis)  # or the RuntimeError
+            basis = solution.basis or basis         # it raised
+
+    While a basis is carried it is tested on the rest of the block at
+    once, by the arithmetic of a warm ``solve``: the members where its
+    basic values lie within bounds, no column may enter and the rows
+    hold within 1e-6 are the ones the warm solve would return after
+    zero pivots, and they get that solution (``pivots`` (0, 0),
+    ``warm``).  Only the first member that fails the test goes through
+    ``solve``; so along a family whose optimal basis changes a few
+    times, only those changes pay for a simplex solve.  The caller's
+    block size bounds the stacked arrays.
+    """
+    shared = LpProblem(objective, None, ineq_constraints, bounds)
+    basis = None
+    for a_eq, b_eq in eq_blocks:
+        a_eq = np.asarray(a_eq, dtype=float)
+        b_eq = np.asarray(b_eq, dtype=float)
+        k = 0
+        while k < b_eq.shape[0]:
+            if basis is not None:
+                carried = _carried_solutions(shared, a_eq[k:], b_eq[k:], basis)
+                yield from carried
+                k += len(carried)
+                if k == b_eq.shape[0]:
+                    break
+            problem = LpProblem(shared.objective, (a_eq[k], b_eq[k]),
+                                shared.ineq_constraints, shared.bounds)
+            try:
+                solution = solve(problem, start=basis)
+            except RuntimeError as exc:
+                # without its traceback the error holds no frame of
+                # this generator alive
+                yield exc.with_traceback(None)
+            else:
+                yield solution
+                basis = solution.basis if solution.basis is not None else basis
+            k += 1
+
+
+def _carried_solutions(shared, a_eq, b_eq, start):
+    """Solutions of the leading members that ``start`` solves unpivoted.
+
+    Mirrors a warm ``solve`` step by step on the stacked members:
+    ``_warm_basis``'s bound test, the first iteration of ``_simplex``
+    finding no eligible column, and ``_phase_two``'s residual test.
+    Stacked ``np.linalg.solve`` and matmul run the same LAPACK and BLAS
+    calls per member as the single ones, so every number agrees bit for
+    bit.  A singular member stops the test where it starts; ``solve``
+    then handles the member it reaches.
+    """
+    a_ub, b_ub = shared.ineq_constraints
+    n = shared.n_vars
+    a, b, lo, up, _, n_real = _standard_form(a_eq, b_eq, a_ub, b_ub,
+                                             shared.bounds)
+    rows, real_status = start
+    status = _start_status(real_status, b.shape[-1])
+    up[n_real:] = 0.0
+    cost = _phase_two_cost(shared.objective, up.size)
+    xv = np.where(status == _AT_UP, up, lo)
+    xv[rows] = 0.0
+    bmat = a[..., rows]
+    try:
+        x_basic = np.linalg.solve(bmat, (b - a @ xv)[..., None])[..., 0]
+        y = np.linalg.solve(np.swapaxes(bmat, -1, -2),
+                            np.broadcast_to(cost[rows], x_basic.shape)[..., None])
+    except np.linalg.LinAlgError:
+        return []
+    reduced = cost - (np.swapaxes(y, -1, -2) @ a)[:, 0, :]
+    eligible = (status[:n_real] == _AT_LO) & (reduced[:, :n_real] < -_COST_TOL)
+    eligible |= (status[:n_real] == _AT_UP) & (reduced[:, :n_real] > _COST_TOL)
+    x = np.where(status == _AT_UP, up, lo)
+    x[~np.isfinite(x)] = 0.0
+    x = np.repeat(x[None, :n], b.shape[0], axis=0)
+    in_values = rows < n
+    x[:, rows[in_values]] = x_basic[:, in_values]
+    lo_x, hi_x = np.array(shared.bounds).T
+    residual = np.maximum.reduce([
+        np.max(np.abs((a_eq @ x[..., None])[..., 0] - b_eq), axis=1, initial=0.0),
+        np.max((a_ub @ x[..., None])[..., 0] - b_ub, axis=1, initial=0.0),
+        np.max(np.concatenate((lo_x - x, x - hi_x), axis=1), axis=1, initial=0.0)])
+    ok = (np.all(x_basic >= lo[rows] - _FEAS_TOL, axis=1)
+          & np.all(x_basic <= up[rows] + _FEAS_TOL, axis=1)
+          & ~eligible.any(axis=1) & ~(residual > 1e-6))
+    count = int(np.argmin(ok)) if not ok.all() else ok.size
+    return [LpSolution(status="optimal", values=values,
+                       objective_value=float(shared.objective @ values),
+                       basis=start, pivots=(0, 0), warm=True)
+            for values in x[:count]]
 
 
 def _residuals(problem, x):

@@ -4,7 +4,11 @@ The exact search fixes a target primary departure rate, at which the
 relay balance equations become linear in the pair (occupancy, shared
 occupancy), solves the resulting LP for each target on a grid, and
 keeps the best vertex whose policy re-evaluates to a feasible
-equilibrium at the LP's own score.  The restricted searches use a
+equilibrium at the LP's own score.  The grid's LPs share everything
+but two rate-dependent terms, so they are solved as one family: the
+last optimal basis is tested on a whole block of grid rates at once,
+and only the rates where it stops being optimal pay for a simplex
+solve.  The restricted searches use a
 single constant sharing probability (a 65-point scan of it, refined at
 feasibility edges and at the best point) or a threshold rule
 (enumeration).
@@ -35,6 +39,7 @@ __all__ = [
 ]
 
 _PAD = 1e-9  # widens the attainable window past fixed-point tolerance noise
+_BLOCK = 16  # grid rates whose LP rows are built and tested together
 _SCORE_TOL = 1e-6  # LP score vs. re-evaluated throughput, to accept a vertex
 _CPT_STEPS = 64  # the CPT scan scores p = k / _CPT_STEPS
 _EDGE_TOL = 1e-12  # bracket width left around a CPT feasibility edge
@@ -146,7 +151,36 @@ def build_lp(config: SystemConfig, budget: LinkBudget,
     levels, the normalization, the pinned-rate consistency row and the
     sharing-budget rows are all affine in (pi, a), and the objective
     (secondary throughput) is linear, so the best policy at this rate
-    is an LP vertex.
+    is an LP vertex.  The search builds the same rows for a block of
+    rates at once (``_pinned_rate_rows``); this is the block of one.
+    """
+    a_eq, b_eq = _pinned_rate_rows(config, budget, [mu_p])
+    objective, ineq_constraints, bounds = _rate_free_parts(config, budget)
+    return lp_core.LpProblem(objective, (a_eq[0], b_eq[0]), ineq_constraints,
+                             bounds)
+
+
+def _rate_free_parts(config, budget):
+    """Objective, sharing-budget rows and bounds: the same at every rate."""
+    m = config.relay_queue_capacity + 1
+    objective = np.zeros(2 * m)
+    objective[m] = budget.theta_sr
+    objective[m + 1:] = budget.theta_sr_shared
+    levels = np.arange(1, m)
+    a_ub = np.zeros((m, 2 * m))
+    a_ub[0, m:] = 1.0  # shared mass is a probability
+    a_ub[levels, m + levels] = 1.0
+    a_ub[levels, levels] = -1.0  # cannot share more often than the level occurs
+    b_ub = np.zeros(m)
+    b_ub[0] = 1.0
+    return objective, (a_ub, b_ub), ((0.0, 1.0),) * (2 * m)
+
+
+def _pinned_rate_rows(config, budget, mu):
+    """Equality rows and right-hand sides, stacked over the rates ``mu``.
+
+    Only the capture probability into the relay, q = busy(mu) * capture,
+    and the consistency row's right-hand side depend on the rate.
     """
     n_s = config.relay_queue_capacity
     m = n_s + 1
@@ -154,69 +188,32 @@ def build_lp(config: SystemConfig, budget: LinkBudget,
     capture = b.theta_ps * (1.0 - b.theta_pd)
     if capture <= 0.0:
         raise ValueError("mu_p: no relay path exists (capture probability is 0)")
-    busy = pu_busy_probability(config.pu_arrival_rate, mu_p,
-                               config.pu_queue_capacity)
-    q = busy * capture
+    mu = np.asarray(mu, dtype=float)
+    q = np.array([pu_busy_probability(config.pu_arrival_rate, rate,
+                                      config.pu_queue_capacity)
+                  for rate in mu.tolist()]) * capture
     sd, shared_gap = b.theta_sd, b.theta_sd - b.theta_sd_shared
 
-    objective = np.zeros(2 * m)
-    objective[m] = b.theta_sr
-    objective[m + 1:] = b.theta_sr_shared
-
-    a_eq = []
-    b_eq = []
-    row = np.zeros(2 * m)
-    row[:m] = 1.0
-    a_eq.append(row)
-    b_eq.append(1.0)  # occupancy sums to one
-    row = np.zeros(2 * m)
-    row[m] = 1.0
-    row[0] = -1.0
-    a_eq.append(row)
-    b_eq.append(0.0)  # empty buffer always leaves the phase unshared
-    # balance across the 0/1 cut
-    row = np.zeros(2 * m)
-    row[1] = sd * (1.0 - q)
-    row[0] = -q
-    row[m + 1] = -shared_gap * (1.0 - q)
-    a_eq.append(row)
-    b_eq.append(0.0)
-    # balance across the n/n+1 cuts for interior levels
-    for n in range(1, n_s):
-        row = np.zeros(2 * m)
-        row[n + 1] = sd * (1.0 - q)
-        row[n] = -q * (1.0 - sd)
-        row[m + n + 1] = -shared_gap * (1.0 - q)
-        row[m + n] = -q * shared_gap
-        a_eq.append(row)
-        b_eq.append(0.0)
+    a_eq = np.zeros((mu.size, n_s + 3, 2 * m))
+    a_eq[:, 0, :m] = 1.0  # occupancy sums to one
+    a_eq[:, 1, m] = 1.0
+    a_eq[:, 1, 0] = -1.0  # empty buffer always leaves the phase unshared
+    # balance across the n/n+1 cut is row 2 + n
+    cuts = np.arange(n_s)
+    a_eq[:, 2 + cuts, cuts + 1] = (sd * (1.0 - q))[:, None]
+    a_eq[:, 2 + cuts, m + cuts + 1] = (-shared_gap * (1.0 - q))[:, None]
+    a_eq[:, 2, 0] = -q
+    inner = cuts[1:]
+    a_eq[:, 2 + inner, inner] = (-q * (1.0 - sd))[:, None]
+    a_eq[:, 2 + inner, m + inner] = (-q * shared_gap)[:, None]
     # consistency with the pinned rate: the refused fraction at a full
     # buffer must equal what the rate implies
-    row = np.zeros(2 * m)
-    row[n_s] = 1.0 - sd
-    row[m + n_s] = shared_gap
-    a_eq.append(row)
-    b_eq.append(1.0 - (mu_p - b.theta_pd) / capture)
-
-    a_ub = []
-    b_ub = []
-    row = np.zeros(2 * m)
-    row[m:] = 1.0
-    a_ub.append(row)
-    b_ub.append(1.0)  # shared mass is a probability
-    for n in range(1, m):
-        row = np.zeros(2 * m)
-        row[m + n] = 1.0
-        row[n] = -1.0
-        a_ub.append(row)
-        b_ub.append(0.0)  # cannot share more often than the level occurs
-
-    return lp_core.LpProblem(
-        objective=objective,
-        eq_constraints=(np.array(a_eq), np.array(b_eq)),
-        ineq_constraints=(np.array(a_ub), np.array(b_ub)),
-        bounds=((0.0, 1.0),) * (2 * m),
-    )
+    a_eq[:, n_s + 2, n_s] = 1.0 - sd
+    a_eq[:, n_s + 2, m + n_s] = shared_gap
+    b_eq = np.zeros((mu.size, n_s + 3))
+    b_eq[:, 0] = 1.0
+    b_eq[:, n_s + 2] = 1.0 - (mu - b.theta_pd) / capture
+    return a_eq, b_eq
 
 
 def optimal_policy(config: SystemConfig, grid_points: int = 200,
@@ -224,21 +221,30 @@ def optimal_policy(config: SystemConfig, grid_points: int = 200,
     """Grid sweep of the pinned-rate LP; best verified objective wins.
 
     The grid is uniform over the attainable target-rate window,
-    endpoints included.  Each LP vertex is converted back to sharing
+    endpoints included, and needs at least 2 points.  The grid's LPs
+    differ only in their rate-dependent rows, which are built
+    ``_BLOCK`` rates at a time, and are solved in ascending rate order
+    by ``lp_core.solve_family``: the last optimal basis is tested on
+    the rest of the block at once, and only a point where it stops
+    being optimal pays for a simplex solve, warm-started from it.  A
+    point whose solve is numerically degenerate is dropped as
+    "unstable".  Each LP vertex is converted back to sharing
     probabilities (p_n = a_n / pi_n, with p_n = 0 where the level is
     unreachable) and re-evaluated through the fixed point.  The LP
     only certifies that its target rate is one equilibrium of the
     policy; the policy can have others below the floor, or settle
     elsewhere.  So candidates are tried in descending objective order
-    (ties toward the smaller rate, so serial and parallel sweeps agree)
-    and the first whose evaluation is feasible and reproduces the LP
-    score within ``_SCORE_TOL`` is returned.  When none does the status
-    is "unverified" and no policy is returned.
+    (ties toward the smaller rate) and the first whose evaluation is
+    feasible and reproduces the LP score within ``_SCORE_TOL`` is
+    returned.  When none does the status is "unverified" and no policy
+    is returned.
 
     With a capture probability of 0 the relay never fills, every
     policy scores the same and there is no LP to build; the never-share
     policy (the threshold search's tie-break) is evaluated instead.
     """
+    if grid_points < 2:
+        raise ValueError(f"grid_points: must be >= 2, got {grid_points}")
     b = budget if budget is not None else link_budget(config)
     window = attainable_mu_p_range(config, b)
     if window is None:
@@ -252,23 +258,23 @@ def optimal_policy(config: SystemConfig, grid_points: int = 200,
                                   evaluation=evaluation,
                                   swept_mu_p=evaluation.mu_p,
                                   objective=evaluation.mu_s, diagnostics=())
+    grid = np.linspace(window[0], window[1], grid_points)
+    blocks = (_pinned_rate_rows(config, b, grid[i:i + _BLOCK])
+              for i in range(0, grid.size, _BLOCK))
+    lp_objective, ineq_constraints, bounds = _rate_free_parts(config, b)
     diagnostics = []
     candidates = []
-    basis = None  # last optimal basis; neighbouring rates warm-start from it
-    for mu_p in np.linspace(window[0], window[1], max(grid_points, 2)):
-        problem = build_lp(config, b, float(mu_p))
-        try:
-            sol = lp_core.solve(problem, start=basis)
-        except RuntimeError:
+    for mu_p, sol in zip(grid.tolist(), lp_core.solve_family(
+            lp_objective, blocks, ineq_constraints, bounds)):
+        if isinstance(sol, RuntimeError):
             # numerically degenerate grid point (window edges can sit a
             # hair outside exact feasibility); drop it, keep sweeping
-            diagnostics.append(SweepPoint(float(mu_p), -math.inf, "unstable"))
+            diagnostics.append(SweepPoint(mu_p, -math.inf, "unstable"))
             continue
-        basis = sol.basis if sol.basis is not None else basis
         obj = sol.objective_value if sol.status == "optimal" else -math.inf
-        diagnostics.append(SweepPoint(float(mu_p), obj, sol.status))
+        diagnostics.append(SweepPoint(mu_p, obj, sol.status))
         if sol.status == "optimal":
-            candidates.append((float(mu_p), obj, sol.values))
+            candidates.append((mu_p, obj, sol.values))
     if not candidates:
         return _infeasible("lp", diagnostics)
     m = config.relay_queue_capacity + 1

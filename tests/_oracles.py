@@ -10,11 +10,12 @@ import math
 
 import numpy as np
 
-from cogrelay import evaluate_policy, link_budget
+from cogrelay import evaluate_policy, link_budget, lp_core
 from cogrelay.mc_sim import _BLOCK, SimStats
-from cogrelay.policy_opt import (OptimizationResult, SweepPoint,
-                                 _infeasible, _uniform_policy,
-                                 feasible_mu_p_range)
+from cogrelay.policy_opt import (_SCORE_TOL, OptimizationResult, SweepPoint,
+                                 _infeasible, _step_policy, _uniform_policy,
+                                 attainable_mu_p_range, feasible_mu_p_range)
+from cogrelay.queue_analytics import AccessPolicy, pu_busy_probability
 
 
 def stationary(P):
@@ -390,3 +391,171 @@ def golden_and_scan_cpt(config, budget=None):
                               swept_mu_p=evaluation.mu_p,
                               objective=best_val,
                               diagnostics=diagnostics)
+
+
+def row_by_row_lp(config, budget, mu_p):
+    """The pinned-rate LP as first written, one row at a time.
+
+    The package builds these rows for a block of rates at once; every
+    entry must agree bit for bit.  What follows is its original
+    description.
+
+    Relay-occupancy LP at one pinned primary departure rate.
+
+    Variables are [occupancy pi_0..pi_N, shared mass a_0..a_N] where
+    a_n = pi_n * p_n.  The balance equations between adjacent buffer
+    levels, the normalization, the pinned-rate consistency row and the
+    sharing-budget rows are all affine in (pi, a), and the objective
+    (secondary throughput) is linear, so the best policy at this rate
+    is an LP vertex.
+    """
+    n_s = config.relay_queue_capacity
+    m = n_s + 1
+    b = budget
+    capture = b.theta_ps * (1.0 - b.theta_pd)
+    if capture <= 0.0:
+        raise ValueError("mu_p: no relay path exists (capture probability is 0)")
+    busy = pu_busy_probability(config.pu_arrival_rate, mu_p,
+                               config.pu_queue_capacity)
+    q = busy * capture
+    sd, shared_gap = b.theta_sd, b.theta_sd - b.theta_sd_shared
+
+    objective = np.zeros(2 * m)
+    objective[m] = b.theta_sr
+    objective[m + 1:] = b.theta_sr_shared
+
+    a_eq = []
+    b_eq = []
+    row = np.zeros(2 * m)
+    row[:m] = 1.0
+    a_eq.append(row)
+    b_eq.append(1.0)  # occupancy sums to one
+    row = np.zeros(2 * m)
+    row[m] = 1.0
+    row[0] = -1.0
+    a_eq.append(row)
+    b_eq.append(0.0)  # empty buffer always leaves the phase unshared
+    # balance across the 0/1 cut
+    row = np.zeros(2 * m)
+    row[1] = sd * (1.0 - q)
+    row[0] = -q
+    row[m + 1] = -shared_gap * (1.0 - q)
+    a_eq.append(row)
+    b_eq.append(0.0)
+    # balance across the n/n+1 cuts for interior levels
+    for n in range(1, n_s):
+        row = np.zeros(2 * m)
+        row[n + 1] = sd * (1.0 - q)
+        row[n] = -q * (1.0 - sd)
+        row[m + n + 1] = -shared_gap * (1.0 - q)
+        row[m + n] = -q * shared_gap
+        a_eq.append(row)
+        b_eq.append(0.0)
+    # consistency with the pinned rate: the refused fraction at a full
+    # buffer must equal what the rate implies
+    row = np.zeros(2 * m)
+    row[n_s] = 1.0 - sd
+    row[m + n_s] = shared_gap
+    a_eq.append(row)
+    b_eq.append(1.0 - (mu_p - b.theta_pd) / capture)
+
+    a_ub = []
+    b_ub = []
+    row = np.zeros(2 * m)
+    row[m:] = 1.0
+    a_ub.append(row)
+    b_ub.append(1.0)  # shared mass is a probability
+    for n in range(1, m):
+        row = np.zeros(2 * m)
+        row[m + n] = 1.0
+        row[n] = -1.0
+        a_ub.append(row)
+        b_ub.append(0.0)  # cannot share more often than the level occurs
+
+    return lp_core.LpProblem(
+        objective=objective,
+        eq_constraints=(np.array(a_eq), np.array(b_eq)),
+        ineq_constraints=(np.array(a_ub), np.array(b_ub)),
+        bounds=((0.0, 1.0),) * (2 * m),
+    )
+
+
+def warm_started_lp_grid(config, grid_points=200, budget=None):
+    """The exact search as it was before the family solve, kept as a reference.
+
+    One warm-started ``lp_core.solve`` per grid point, on the LP built
+    row by row (``row_by_row_lp``); the package's ``optimal_policy``
+    must return a result identical to it, diagnostics included.  What
+    follows is its original description.
+
+    Grid sweep of the pinned-rate LP; best verified objective wins.
+
+    The grid is uniform over the attainable target-rate window,
+    endpoints included.  Each LP vertex is converted back to sharing
+    probabilities (p_n = a_n / pi_n, with p_n = 0 where the level is
+    unreachable) and re-evaluated through the fixed point.  The LP
+    only certifies that its target rate is one equilibrium of the
+    policy; the policy can have others below the floor, or settle
+    elsewhere.  So candidates are tried in descending objective order
+    (ties toward the smaller rate, so serial and parallel sweeps agree)
+    and the first whose evaluation is feasible and reproduces the LP
+    score within ``_SCORE_TOL`` is returned.  When none does the status
+    is "unverified" and no policy is returned.
+
+    With a capture probability of 0 the relay never fills, every
+    policy scores the same and there is no LP to build; the never-share
+    policy (the threshold search's tie-break) is evaluated instead.
+    """
+    b = budget if budget is not None else link_budget(config)
+    window = attainable_mu_p_range(config, b)
+    if window is None:
+        return _infeasible("lp")
+    if b.theta_ps * (1.0 - b.theta_pd) <= 0.0:
+        policy = _step_policy(0, config.relay_queue_capacity)
+        evaluation = evaluate_policy(config, policy, budget=b)
+        if not evaluation.feasible:
+            return _infeasible("lp")
+        return OptimizationResult(method="lp", status="ok", policy=policy,
+                                  evaluation=evaluation,
+                                  swept_mu_p=evaluation.mu_p,
+                                  objective=evaluation.mu_s, diagnostics=())
+    diagnostics = []
+    candidates = []
+    basis = None  # last optimal basis; neighbouring rates warm-start from it
+    for mu_p in np.linspace(window[0], window[1], max(grid_points, 2)):
+        problem = row_by_row_lp(config, b, float(mu_p))
+        try:
+            sol = lp_core.solve(problem, start=basis)
+        except RuntimeError:
+            # numerically degenerate grid point (window edges can sit a
+            # hair outside exact feasibility); drop it, keep sweeping
+            diagnostics.append(SweepPoint(float(mu_p), -math.inf, "unstable"))
+            continue
+        basis = sol.basis if sol.basis is not None else basis
+        obj = sol.objective_value if sol.status == "optimal" else -math.inf
+        diagnostics.append(SweepPoint(float(mu_p), obj, sol.status))
+        if sol.status == "optimal":
+            candidates.append((float(mu_p), obj, sol.values))
+    if not candidates:
+        return _infeasible("lp", diagnostics)
+    m = config.relay_queue_capacity + 1
+    # stable sort: equal objectives keep their ascending-rate order
+    for mu_p, objective, values in sorted(candidates, key=lambda c: -c[1]):
+        pi, a = values[:m], values[m:]
+        probs = [1.0]
+        for n in range(1, m):
+            if pi[n] > 1e-14:
+                probs.append(min(1.0, max(0.0, a[n] / pi[n])))
+            else:
+                probs.append(0.0)
+        policy = AccessPolicy(probs)
+        evaluation = evaluate_policy(config, policy, budget=b)
+        if (evaluation.feasible
+                and abs(evaluation.mu_s - objective) <= _SCORE_TOL):
+            return OptimizationResult(method="lp", status="ok", policy=policy,
+                                      evaluation=evaluation, swept_mu_p=mu_p,
+                                      objective=objective,
+                                      diagnostics=tuple(diagnostics))
+    return OptimizationResult(method="lp", status="unverified", policy=None,
+                              evaluation=None, swept_mu_p=math.nan,
+                              objective=0.0, diagnostics=tuple(diagnostics))

@@ -302,3 +302,33 @@ def test_cli_simulate_rejects_bad_numbers_before_searching(
     assert rc == 2
     assert "Traceback" not in captured.err
     assert message in captured.err.splitlines()
+
+
+RELAY_BUFFER_SPEC = str(CONFIGS / "sweep_relay_buffer.spec")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n_slots", "0", "n_slots: must be >= 1, got 0"),
+    ("warmup_slots", "-5", "warmup_slots: must be >= 0, got -5"),
+    ("seeds", "-1", "seed: must be a non-negative integer, got -1"),
+    ("grid_points", "0", "grid_points: must be >= 2, got 0"),
+])
+def test_spec_rejects_run_settings_out_of_range(key, value, message):
+    spec, errors = load_spec(RELAY_BUFFER_SPEC, {key: value})
+    assert spec is None
+    assert errors == [message]
+
+
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_cli_optimize_rejects_grid_below_two(capsys, monkeypatch, grid):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before checking the arguments")
+
+    monkeypatch.setattr(experiments_cli, "run_single", no_search)
+    rc = main(["optimize", "--config", DEFAULTS_CFG, "--method", "lp",
+               "--grid", grid])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "Traceback" not in captured.err
+    assert captured.err.splitlines() == [
+        f"error: grid_points: must be >= 2, got {grid}"]

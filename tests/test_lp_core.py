@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -219,3 +220,166 @@ def test_unusable_start_falls_back_to_cold_solve():
         s = lp_core.solve(problems[1], start=start)
         assert s.status == cold.status
         assert np.array_equal(s.values, cold.values)
+
+
+def test_pivot_counts_on_a_hand_solved_lp():
+    # maximize x1 + 2 x2 with x1 + x2 <= 1.5 on the unit box.  Phase one
+    # (Bland) runs x1 to its upper bound, then pivots x2 in for the
+    # artificial; phase two brings x1 down into the basis while x2 runs
+    # to its upper bound: (2, 1).  Restarted from its own basis the
+    # solve needs no step at all.
+    p = LpProblem(objective=(1.0, 2.0), eq_constraints=no_rows(2),
+                  ineq_constraints=(((1.0, 1.0),), (1.5,)), bounds=box(2))
+    cold = lp_core.solve(p)
+    assert cold.values == pytest.approx((0.5, 1.0))
+    assert (cold.pivots, cold.warm) == ((2, 1), False)
+    warm = lp_core.solve(p, start=cold.basis)
+    assert np.array_equal(warm.values, cold.values)
+    assert (warm.pivots, warm.warm) == ((0, 0), True)
+
+
+def test_warm_solves_take_fewer_pivots():
+    cold_steps = warm_steps = 0
+    basis = None
+    for p in _shifted_family(11, 25):
+        cold = lp_core.solve(p)
+        warm = lp_core.solve(p, start=basis)
+        cold_steps += sum(cold.pivots)
+        warm_steps += sum(warm.pivots)
+        basis = warm.basis if warm.basis is not None else basis
+    assert warm_steps < cold_steps
+
+
+def test_stacked_linear_algebra_matches_single_calls():
+    # the family solve relies on stacked np.linalg.solve and matmul
+    # running the same LAPACK/BLAS call per member as the single calls
+    rng = np.random.default_rng(3)
+    for m, n in ((3, 7), (13, 40), (43, 108)):
+        mats = rng.normal(size=(32, m, m))
+        wide = rng.normal(size=(32, m, n))
+        vecs = rng.normal(size=(32, m))
+        xv = rng.normal(size=n)
+        x = np.linalg.solve(mats, vecs[..., None])[..., 0]
+        y = np.linalg.solve(np.swapaxes(mats, -1, -2), vecs[..., None])
+        product = wide @ xv
+        row = (np.swapaxes(y, -1, -2) @ wide)[:, 0, :]
+        column = (wide[..., :m] @ x[..., None])[..., 0]
+        for k in range(32):
+            assert np.array_equal(x[k], np.linalg.solve(mats[k], vecs[k]))
+            assert np.array_equal(y[k, :, 0],
+                                  np.linalg.solve(mats[k].T, vecs[k]))
+            assert np.array_equal(product[k], wide[k] @ xv)
+            assert np.array_equal(row[k], y[k, :, 0] @ wide[k])
+            assert np.array_equal(column[k], wide[k, :, :m] @ x[k])
+
+
+def _sequential(problems):
+    out, basis = [], None
+    for p in problems:
+        try:
+            sol = lp_core.solve(p, start=basis)
+        except RuntimeError as exc:
+            out.append(exc)
+            continue
+        out.append(sol)
+        basis = sol.basis if sol.basis is not None else basis
+    return out
+
+
+def _same(got, want):
+    if isinstance(want, RuntimeError):
+        return isinstance(got, RuntimeError) and str(got) == str(want)
+    if got.values is None or want.values is None:
+        same_values = got.values is None and want.values is None
+    else:
+        same_values = np.array_equal(got.values, want.values)
+    same_basis = (got.basis is None) == (want.basis is None) and (
+        got.basis is None or all(np.array_equal(g, w) for g, w
+                                 in zip(got.basis, want.basis)))
+    return (same_values and same_basis and got.status == want.status
+            and repr(got.objective_value) == repr(want.objective_value)
+            and got.pivots == want.pivots and got.warm == want.warm)
+
+
+def test_family_matches_sequential_solves():
+    problems = list(_shifted_family(11, 40))
+    a_eq, b_eq = problems[0].eq_constraints
+    # member 17 has a zero equality row, which makes the carried basis
+    # singular; member 25 cannot meet its shifted right-hand side
+    singular = problems[17].eq_constraints[0].copy()
+    singular[1] = 0.0
+    rhs = problems[17].eq_constraints[1].copy()
+    rhs[1] = 0.0
+    problems[17] = dataclasses.replace(problems[17],
+                                       eq_constraints=(singular, rhs))
+    shifted = problems[25].eq_constraints[1] + np.array([50.0, 0.0])
+    problems[25] = dataclasses.replace(problems[25],
+                                       eq_constraints=(a_eq, shifted))
+    want = _sequential(problems)
+    assert want[17].status == "optimal" and want[17].basis is None
+    assert want[25].status == "infeasible"
+    stacked = [np.stack([p.eq_constraints[i] for p in problems])
+               for i in (0, 1)]
+    # blocks of 16, 16 and 8 members: certified runs cross block edges
+    blocks = [(stacked[0][i:i + 16], stacked[1][i:i + 16])
+              for i in range(0, 40, 16)]
+    p0 = problems[0]
+    got = list(lp_core.solve_family(p0.objective, blocks,
+                                    p0.ineq_constraints, p0.bounds))
+    assert len(got) == len(want)
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert _same(g, w), k
+    # most members ride on a carried basis without a pivot
+    assert sum(1 for g in got if g.warm and g.pivots == (0, 0)) >= 30
+
+
+def test_family_reports_a_degenerate_member(monkeypatch):
+    # a member whose solve raises gets the RuntimeError in its place,
+    # and the family goes on from the last basis
+    problems = list(_shifted_family(11, 6))
+    real = lp_core.solve
+    calls = []
+
+    def flaky(problem, start=None):
+        calls.append(start)
+        if len(calls) == 2:
+            raise RuntimeError("singular basis; problem is numerically "
+                               "degenerate")
+        return real(problem, start=start)
+
+    monkeypatch.setattr(lp_core, "solve", flaky)
+    a_eq = np.stack([p.eq_constraints[0] for p in problems])
+    b_eq = np.stack([p.eq_constraints[1] for p in problems])
+    p0 = problems[0]
+    # the carried basis is tested on nothing: every member is solved
+    monkeypatch.setattr(lp_core, "_carried_solutions", lambda *a: [])
+    got = list(lp_core.solve_family(p0.objective, [(a_eq, b_eq)],
+                                    p0.ineq_constraints, p0.bounds))
+    assert isinstance(got[1], RuntimeError)
+    assert all(g.status == "optimal" for k, g in enumerate(got) if k != 1)
+    assert calls[2] is not None and calls[2] is calls[1]
+
+
+@pytest.mark.parametrize("slopes, rhs, seen", [
+    # the basis {x1} stays feasible all along but stops being optimal
+    # once t < 1, where x2 buys more objective per unit of the row
+    (np.linspace(1.5, 0.6, 10), np.full(10, 0.5),
+     lambda s: s.warm and s.pivots[1] > 0),
+    # x1 = -5e-7 is out of bounds by more than the warm start allows
+    # but within the residual test's 1e-6; the solve finds no point
+    (np.full(4, 2.0), np.array([0.5, 0.3, -5e-7, 0.4]),
+     lambda s: s.status == "infeasible"),
+])
+def test_family_retests_every_condition_of_a_warm_solve(slopes, rhs, seen):
+    # maximize x1 + x2 subject to x1 + t x2 = rhs on the unit box
+    problems = [LpProblem(objective=(1.0, 1.0),
+                          eq_constraints=(((1.0, t),), (r,)),
+                          ineq_constraints=no_rows(2), bounds=box(2))
+                for t, r in zip(slopes, rhs)]
+    sequential = _sequential(problems)
+    assert any(seen(s) for s in sequential)
+    blocks = [(np.array([[[1.0, t]] for t in slopes]), rhs[:, None])]
+    got = list(lp_core.solve_family((1.0, 1.0), blocks, bounds=box(2)))
+    assert len(got) == len(sequential)
+    for k, (g, w) in enumerate(zip(got, sequential)):
+        assert _same(g, w), k

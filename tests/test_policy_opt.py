@@ -7,7 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from _oracles import golden_and_scan_cpt
+from _oracles import (golden_and_scan_cpt, row_by_row_lp,
+                      warm_started_lp_grid)
 from cogrelay import (AccessPolicy, SystemConfig, cpt_policy, evaluate_policy,
                       link_budget, lp_core, optimal_policy, policy_opt,
                       st_policy)
@@ -207,6 +208,82 @@ def test_warm_started_sweep_matches_cold_solves(defaults, budget):
         cold = lp_core.solve(build_lp(defaults, budget, d.mu_p))
         assert cold.status == "optimal"
         assert abs(cold.objective_value - d.objective) <= 1e-9
+
+
+def _search_key(r):
+    # everything a search reports; the evaluation's own repr carries an
+    # object address, so its numbers are compared instead
+    ev = r.evaluation
+    return repr((r.method, r.status, r.policy, r.objective, r.swept_mu_p,
+                 r.diagnostics, None if ev is None else
+                 (ev.mu_p, ev.mu_s, ev.equilibria, ev.feasible)))
+
+
+def _time_share_base():
+    spec, errors = load_spec(str(CONFIGS / "sweep_time_share.spec"))
+    assert errors == []
+    return spec.base
+
+
+@pytest.mark.parametrize("case, grid", [
+    ("defaults", 200),
+    ("defaults", 2 * policy_opt._BLOCK + 1),  # a last block of one point
+    ("F2", 200),        # alpha = 0.041 on the time-share base: unstable points
+    ("light_load", 200),  # lambda_p = 0.1: a window about 1e-9 wide
+    ("n_s=1", 200),
+    ("n_s=20", 60),
+    ("pu_infeasible", 200),
+])
+def test_family_search_matches_the_per_point_loop(defaults, case, grid):
+    cfg = {"defaults": defaults,
+           "F2": dataclasses.replace(_time_share_base(), alpha=0.041),
+           "light_load": dataclasses.replace(defaults, pu_arrival_rate=0.1),
+           "n_s=1": dataclasses.replace(defaults, relay_queue_capacity=1),
+           "n_s=20": dataclasses.replace(defaults, relay_queue_capacity=20),
+           "pu_infeasible": dataclasses.replace(defaults,
+                                                pu_arrival_rate=0.9)}[case]
+    new, ref = optimal_policy(cfg, grid_points=grid), warm_started_lp_grid(
+        cfg, grid_points=grid)
+    assert _search_key(new) == _search_key(ref)
+    if case == "F2":
+        assert any(d.status == "unstable" for d in new.diagnostics)
+
+
+def test_exact_search_solves_only_at_basis_changes(defaults, monkeypatch):
+    # the carried basis is tested on whole blocks of the grid; a solve
+    # per grid point would cost 200
+    calls = []
+    real = lp_core.solve
+    monkeypatch.setattr(lp_core, "solve",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    r = optimal_policy(defaults)
+    assert r.status == "ok" and len(r.diagnostics) == 200
+    assert 1 <= len(calls) <= 20
+
+
+@pytest.mark.parametrize("grid", [1, 0, -3])
+def test_grid_below_two_points_is_rejected(defaults, grid):
+    with pytest.raises(ValueError,
+                       match=f"^grid_points: must be >= 2, got {grid}$"):
+        optimal_policy(defaults, grid_points=grid)
+
+
+@pytest.mark.parametrize("n_s", [1, 2, 10, 20])
+def test_block_rows_match_the_row_by_row_lp(defaults, n_s):
+    cfg = dataclasses.replace(defaults, relay_queue_capacity=n_s,
+                              pu_queue_capacity=50)
+    b = link_budget(cfg)
+    rates = np.linspace(*attainable_mu_p_range(cfg, b), 7)
+    a_eq, b_eq = policy_opt._pinned_rate_rows(cfg, b, rates)
+    for k, mu_p in enumerate(rates.tolist()):
+        ref, one = row_by_row_lp(cfg, b, mu_p), build_lp(cfg, b, mu_p)
+        for p in (one, lp_core.LpProblem(one.objective, (a_eq[k], b_eq[k]),
+                                         one.ineq_constraints, one.bounds)):
+            assert np.array_equal(p.objective, ref.objective)
+            for got, want in zip(p.eq_constraints + p.ineq_constraints,
+                                 ref.eq_constraints + ref.ineq_constraints):
+                assert np.array_equal(got, want)
+            assert p.bounds == ref.bounds
 
 
 # -- constant-probability search --------------------------------------------
