@@ -10,10 +10,17 @@ second CSV with per-point gap columns next to the analytic one; the
 simulated pass takes about 2.5 times as long as the analytic one (the
 arrival-rate sweep: 12.5 s analytic, 31 s simulated on a 2-core host),
 so start with a single spec.
+
+Standard output gets one line per written CSV in the format of
+``sha256sum`` (digest, two spaces, path from the repository root), so
+the outputs of two checkouts can be diffed and ``sha256sum -c`` run on
+either; the per-spec progress and timing lines go to standard error.
 """
 
 import argparse
 import dataclasses
+import hashlib
+import os
 import sys
 import time
 from pathlib import Path
@@ -63,7 +70,9 @@ def main(argv=None):
             t0 = time.time()
             written = run_sweep(spec)
             print(f"{path.name}{' [' + tag + ']' if tag else '':s} "
-                  f"-> {written}  ({time.time() - t0:.1f}s)")
+                  f"-> {written}  ({time.time() - t0:.1f}s)", file=sys.stderr)
+            digest = hashlib.sha256(Path(written).read_bytes()).hexdigest()
+            print(f"{digest}  {os.path.relpath(written, REPO)}", flush=True)
     return 1 if failures else 0
 
 

@@ -10,8 +10,7 @@ last optimal basis is tested on a whole block of grid rates at once,
 and only the rates where it stops being optimal pay for a simplex
 solve.  The restricted searches use a
 single constant sharing probability (a 65-point scan of it, refined at
-feasibility edges and at the best point) or a threshold rule
-(enumeration).
+its feasibility edges) or a threshold rule (enumeration).
 """
 
 from __future__ import annotations
@@ -24,8 +23,9 @@ import numpy as np
 
 from . import lp_core
 from .link_model import LinkBudget, SystemConfig, link_budget
-from .queue_analytics import (AccessPolicy, _brent, evaluate_policy,
-                              min_departure_rate, pu_busy_probability)
+from .queue_analytics import (_FLOOR_SLACK, AccessPolicy, _brent,
+                              evaluate_policy, min_departure_rate,
+                              pu_busy_probability)
 
 __all__ = [
     "OptimizationResult",
@@ -43,8 +43,6 @@ _BLOCK = 16  # grid rates whose LP rows are built and tested together
 _SCORE_TOL = 1e-6  # LP score vs. re-evaluated throughput, to accept a vertex
 _CPT_STEPS = 64  # the CPT scan scores p = k / _CPT_STEPS
 _EDGE_TOL = 1e-12  # bracket width left around a CPT feasibility edge
-_PEAK_TOL = 1e-7  # golden-section bracket width left around the CPT peak
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class SweepPoint(NamedTuple):
@@ -311,26 +309,29 @@ def _step_policy(n_th: int, n_s: int) -> AccessPolicy:
 
 def cpt_policy(config: SystemConfig,
                budget: Optional[LinkBudget] = None) -> OptimizationResult:
-    """Best constant sharing probability, in about 100 evaluations.
+    """Best constant sharing probability: a scan of p and its edges.
 
-    A 65-point scan of p (k / 64) is refined twice: Brent's method
-    narrows every feasibility edge between scan points to ``_EDGE_TOL``
-    and keeps its feasible end, and a golden section narrows the best
-    scan point's two neighbouring steps, clipped to the feasible side,
-    to ``_PEAK_TOL``.  The best point scored wins, ties going to the
-    smaller p.  ``diagnostics`` lists every scored p in order, with
-    status "scan", "edge" or "peak".  An empty target window holds no
-    equilibrium, so then nothing is scored.
+    A 65-point scan of p (k / 64) is refined at its feasibility edges:
+    wherever feasibility changes between neighbouring scan points,
+    Brent's method, then bisection, narrows the edge to ``_EDGE_TOL``
+    and keeps its feasible end.  At the defaults there is no edge, so
+    the search costs 65 evaluations.  The best point scored wins, ties
+    going to the smaller p.  An optimum between scan points away from
+    any edge (no bundled sweep cell has one) is not refined: it is
+    returned within half a scan step (1/128 in p), as the best scan
+    point.  ``diagnostics`` lists every scored p in order, with status
+    "scan" or "edge".  An empty target window holds no equilibrium, so
+    then nothing is scored.
     """
     b = budget if budget is not None else link_budget(config)
     if feasible_mu_p_range(config, b) is None:
         return _infeasible("cpt")
     n_s = config.relay_queue_capacity
     # the window is nonempty, so the floor exists; evaluate_policy calls
-    # a policy feasible when its lowest equilibrium is >= floor - 1e-9
+    # a policy feasible when its lowest equilibrium is >= level
     level = min_departure_rate(config.pu_arrival_rate,
                                config.pu_queue_capacity,
-                               config.loss_threshold) - 1e-9
+                               config.loss_threshold) - _FLOOR_SLACK
     scored = {}  # p -> (score, evaluation, status)
 
     def score(p, status):
@@ -341,7 +342,8 @@ def cpt_policy(config: SystemConfig,
 
     def edge(ok, bad):
         # the lowest equilibrium can jump down where a new one appears,
-        # so the point kept is the feasible end of the final bracket
+        # so the bracket, not a root, locates the edge; both of its ends
+        # are scored, and the feasible one is the candidate
         bracket = [ok, bad]
 
         def margin(p):  # positive exactly where p is feasible
@@ -353,23 +355,14 @@ def cpt_policy(config: SystemConfig,
         _brent(margin, ok, bad, margin(ok), margin(bad), xtol=_EDGE_TOL)
         while abs(bracket[1] - bracket[0]) > _EDGE_TOL:
             margin(0.5 * (bracket[0] + bracket[1]))
-        return bracket[0]
 
     grid = [k / _CPT_STEPS for k in range(_CPT_STEPS + 1)]
     ok = [score(p, "scan") > -math.inf for p in grid]
-    ends = {k: edge(grid[k], grid[k + 1]) if ok[k]
-            else edge(grid[k + 1], grid[k])
-            for k in range(_CPT_STEPS) if ok[k] != ok[k + 1]}
-    i = max(range(_CPT_STEPS + 1), key=lambda k: (scored[grid[k]][0], -k))
-    if ok[i]:
-        lo = ends.get(i - 1, grid[max(i - 1, 0)])
-        hi = ends.get(i, grid[min(i + 1, _CPT_STEPS)])
-        x1, x2 = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
-        while hi - lo > _PEAK_TOL:
-            if score(x1, "peak") >= score(x2, "peak"):
-                hi, x2, x1 = x2, x1, x2 - _INV_PHI * (x2 - lo)
-            else:
-                lo, x1, x2 = x1, x2, x1 + _INV_PHI * (hi - x1)
+    for k in range(_CPT_STEPS):
+        if ok[k] and not ok[k + 1]:
+            edge(grid[k], grid[k + 1])
+        elif ok[k + 1] and not ok[k]:
+            edge(grid[k + 1], grid[k])
     diagnostics = tuple(SweepPoint(ev.mu_p, val, status, p)
                         for p, (val, ev, status) in sorted(scored.items()))
     best = max(diagnostics, key=lambda d: (d.objective, -d.share_prob))

@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _GAMMA_UNIT_TOL = 1e-9  # treat the birth-death ratio as exactly 1 below this
+_FLOOR_SLACK = 1e-9  # an equilibrium this far below the floor still meets it
 _SCAN_UNIT = np.linspace(0.0, 1.0, 129)  # uniform part of the scan grid
 _SCAN_MID = 64  # _SCAN_UNIT[_SCAN_MID] is exactly 0.5
 
@@ -477,7 +478,7 @@ def evaluate_policy(config: SystemConfig, policy: AccessPolicy,
     shared = sum(pi_n * p_n for pi_n, p_n
                  in zip(relay.occupancy[1:], policy.probs[1:]))
     mu_s = b.theta_sr * relay.occupancy[0] + b.theta_sr_shared * shared
-    feasible = floor is not None and equilibria[0] >= floor - 1e-9
+    feasible = floor is not None and equilibria[0] >= floor - _FLOOR_SLACK
     return PolicyEvaluation(mu_p=mu, mu_s=mu_s, relay_state=relay,
                             pu_state=pu_steady_state(lam, mu, n_p),
                             feasible=feasible, equilibria=equilibria)

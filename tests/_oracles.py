@@ -15,7 +15,8 @@ from cogrelay.mc_sim import _BLOCK, SimStats
 from cogrelay.policy_opt import (_SCORE_TOL, OptimizationResult, SweepPoint,
                                  _infeasible, _step_policy, _uniform_policy,
                                  attainable_mu_p_range, feasible_mu_p_range)
-from cogrelay.queue_analytics import AccessPolicy, pu_busy_probability
+from cogrelay.queue_analytics import (AccessPolicy, _brent, min_departure_rate,
+                                     pu_busy_probability)
 
 
 def stationary(P):
@@ -390,6 +391,93 @@ def golden_and_scan_cpt(config, budget=None):
                               evaluation=evaluation,
                               swept_mu_p=evaluation.mu_p,
                               objective=best_val,
+                              diagnostics=diagnostics)
+
+
+_CPT_STEPS = 64  # the CPT scan scores p = k / _CPT_STEPS
+_EDGE_TOL = 1e-12  # bracket width left around a CPT feasibility edge
+_PEAK_TOL = 1e-7  # golden-section bracket width left around the CPT peak
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def scan_edge_golden_cpt(config, budget=None):
+    """CPT with a golden section at its best scan point, kept as a reference.
+
+    The package's ``cpt_policy`` dropped the golden section at the best
+    scan point, which never supplied the winning point on any bundled
+    cell; it must return the same status, policy, score and
+    evaluation as this search.  What follows is its original
+    description.
+
+    Best constant sharing probability, in about 100 evaluations.
+
+    A 65-point scan of p (k / 64) is refined twice: Brent's method
+    narrows every feasibility edge between scan points to ``_EDGE_TOL``
+    and keeps its feasible end, and a golden section narrows the best
+    scan point's two neighbouring steps, clipped to the feasible side,
+    to ``_PEAK_TOL``.  The best point scored wins, ties going to the
+    smaller p.  ``diagnostics`` lists every scored p in order, with
+    status "scan", "edge" or "peak".  An empty target window holds no
+    equilibrium, so then nothing is scored.
+    """
+    b = budget if budget is not None else link_budget(config)
+    if feasible_mu_p_range(config, b) is None:
+        return _infeasible("cpt")
+    n_s = config.relay_queue_capacity
+    # the window is nonempty, so the floor exists; evaluate_policy calls
+    # a policy feasible when its lowest equilibrium is >= floor - 1e-9
+    level = min_departure_rate(config.pu_arrival_rate,
+                               config.pu_queue_capacity,
+                               config.loss_threshold) - 1e-9
+    scored = {}  # p -> (score, evaluation, status)
+
+    def score(p, status):
+        if p not in scored:
+            ev = evaluate_policy(config, _uniform_policy(p, n_s), budget=b)
+            scored[p] = (ev.mu_s if ev.feasible else -math.inf, ev, status)
+        return scored[p][0]
+
+    def edge(ok, bad):
+        # the lowest equilibrium can jump down where a new one appears,
+        # so the point kept is the feasible end of the final bracket
+        bracket = [ok, bad]
+
+        def margin(p):  # positive exactly where p is feasible
+            feasible = score(p, "edge") > -math.inf
+            bracket[not feasible] = p
+            gap = scored[p][1].equilibria[0] - level
+            return max(gap, 1e-18) if feasible else gap
+
+        _brent(margin, ok, bad, margin(ok), margin(bad), xtol=_EDGE_TOL)
+        while abs(bracket[1] - bracket[0]) > _EDGE_TOL:
+            margin(0.5 * (bracket[0] + bracket[1]))
+        return bracket[0]
+
+    grid = [k / _CPT_STEPS for k in range(_CPT_STEPS + 1)]
+    ok = [score(p, "scan") > -math.inf for p in grid]
+    ends = {k: edge(grid[k], grid[k + 1]) if ok[k]
+            else edge(grid[k + 1], grid[k])
+            for k in range(_CPT_STEPS) if ok[k] != ok[k + 1]}
+    i = max(range(_CPT_STEPS + 1), key=lambda k: (scored[grid[k]][0], -k))
+    if ok[i]:
+        lo = ends.get(i - 1, grid[max(i - 1, 0)])
+        hi = ends.get(i, grid[min(i + 1, _CPT_STEPS)])
+        x1, x2 = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+        while hi - lo > _PEAK_TOL:
+            if score(x1, "peak") >= score(x2, "peak"):
+                hi, x2, x1 = x2, x1, x2 - _INV_PHI * (x2 - lo)
+            else:
+                lo, x1, x2 = x1, x2, x1 + _INV_PHI * (hi - x1)
+    diagnostics = tuple(SweepPoint(ev.mu_p, val, status, p)
+                        for p, (val, ev, status) in sorted(scored.items()))
+    best = max(diagnostics, key=lambda d: (d.objective, -d.share_prob))
+    if best.objective == -math.inf:
+        return _infeasible("cpt", diagnostics)
+    ev = scored[best.share_prob][1]
+    return OptimizationResult(method="cpt", status="ok",
+                              policy=_uniform_policy(best.share_prob, n_s),
+                              evaluation=ev, swept_mu_p=ev.mu_p,
+                              objective=best.objective,
                               diagnostics=diagnostics)
 
 

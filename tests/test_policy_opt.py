@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from _oracles import (golden_and_scan_cpt, row_by_row_lp,
-                      warm_started_lp_grid)
+                      scan_edge_golden_cpt, warm_started_lp_grid)
 from cogrelay import (AccessPolicy, SystemConfig, cpt_policy, evaluate_policy,
                       link_budget, lp_core, optimal_policy, policy_opt,
                       st_policy)
 from cogrelay.experiments_cli import apply_sweep_value, load_spec
 from cogrelay.policy_opt import (attainable_mu_p_range, build_lp,
                                  feasible_mu_p_range)
-from cogrelay.queue_analytics import min_departure_rate
+from cogrelay.queue_analytics import _FLOOR_SLACK, min_departure_rate
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -306,28 +306,28 @@ def test_cpt_never_beats_lp(defaults):
     assert cpt_policy(defaults).mu_s <= lp.mu_s + 1e-9
 
 
-def test_cpt_scores_about_a_hundred_points(defaults, monkeypatch):
-    # a 65-point scan plus the refinements; a return to a dense scan
-    # of p would cost a thousand evaluations
+def test_cpt_scores_only_the_scan_at_the_defaults(defaults, monkeypatch):
+    # the defaults have no feasibility edge, so the 65-point scan is the
+    # whole search; a dense scan of p would cost a thousand evaluations
     calls = []
     real = policy_opt.evaluate_policy
     monkeypatch.setattr(policy_opt, "evaluate_policy",
                         lambda *a, **k: calls.append(a) or real(*a, **k))
     r = cpt_policy(defaults)
     assert r.status == "ok"
-    assert len(r.diagnostics) == len(calls) <= 150
+    assert len(r.diagnostics) == len(calls) == 65
 
 
 def test_cpt_diagnostics_list_every_scored_point():
     # the time-share cell at alpha = 0.15 has a feasibility edge between
-    # two scan points, so all three stages score points there
+    # two scan points, so both stages score points there
     spec, errors = load_spec(str(CONFIGS / "sweep_time_share.spec"))
     assert errors == []
     cfg = apply_sweep_value(spec.base, "alpha", 0.15)
     r = cpt_policy(cfg)
     probs = [d.share_prob for d in r.diagnostics]
     assert probs == sorted(set(probs))
-    assert {d.status for d in r.diagnostics} == {"scan", "edge", "peak"}
+    assert {d.status for d in r.diagnostics} == {"scan", "edge"}
     assert [d.share_prob for d in r.diagnostics if d.status == "scan"] == [
         k / 64 for k in range(65)]
     picked = [d for d in r.diagnostics if d.share_prob == r.policy.probs[1]]
@@ -355,7 +355,7 @@ def fake_uniform_evaluations(monkeypatch, config, mu_s, lowest):
         p = policy.probs[1]
         low = lowest(p, floor)
         return SimpleNamespace(mu_p=low, mu_s=mu_s(p), equilibria=(low,),
-                               feasible=low >= floor - 1e-9)
+                               feasible=low >= floor - _FLOOR_SLACK)
 
     monkeypatch.setattr(policy_opt, "evaluate_policy", evaluate)
 
@@ -365,15 +365,17 @@ def picked_from(r):
             if d.share_prob == r.policy.probs[1]]
 
 
-def test_cpt_refines_an_interior_peak(defaults, monkeypatch):
+def test_cpt_returns_an_interior_peak_as_its_best_scan_point(defaults,
+                                                               monkeypatch):
     # no bundled cell has its optimum between scan points away from an
-    # edge, so a made-up score puts one at p = 0.3
+    # edge, so a made-up score puts one at p = 0.3; it is not refined
     fake_uniform_evaluations(monkeypatch, defaults,
                              lambda p: 0.5 - (p - 0.3) ** 2,
                              lambda p, floor: floor + 0.1)
     r = cpt_policy(defaults)
-    assert abs(r.policy.probs[1] - 0.3) <= 1e-7
-    assert picked_from(r) == ["peak"]
+    assert r.policy.probs[1] == 19 / 64
+    assert abs(r.policy.probs[1] - 0.3) <= 1 / 128
+    assert picked_from(r) == ["scan"]
 
 
 @pytest.mark.parametrize("jump", [False, True])
@@ -409,8 +411,9 @@ def test_cpt_edge_falls_back_to_bisection(defaults, monkeypatch):
 
 
 def test_cpt_never_scores_below_the_golden_and_scan_search():
-    # the search this one replaced, golden section plus a 1001-point
-    # scan, on every cell of every bundled sweep
+    # the first search, golden section plus a 1001-point scan, and the
+    # scan-edge-golden search, on every cell of every bundled sweep: the
+    # first may score lower, the second must return the same result
     cells = 0
     for path in sorted(CONFIGS.glob("sweep_*.spec")):
         spec, errors = load_spec(str(path))
@@ -420,6 +423,11 @@ def test_cpt_never_scores_below_the_golden_and_scan_search():
             ref, new = golden_and_scan_cpt(cfg), cpt_policy(cfg)
             assert new.status == ref.status, (path.name, value)
             assert new.mu_s >= ref.mu_s - 1e-12, (path.name, value)
+            # diagnostics differ: the golden section scored more points
+            same = [_search_key(dataclasses.replace(r, diagnostics=()))
+                    for r in (new, scan_edge_golden_cpt(cfg))]
+            assert same[0] == same[1], (path.name, value)
+            assert len(new.diagnostics) <= 80, (path.name, value)
             if spec.sweep_variable == "alpha" and value == 0.15:
                 # unimodality fails here and the optimum sits on the
                 # feasibility edge, which golden section misses
