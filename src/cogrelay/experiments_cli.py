@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 from . import __version__
 from .link_model import SystemConfig, config_field_errors
 from .mc_sim import compare, simulate
-from .policy_opt import cpt_policy, optimal_policy, st_policy
+from .policy_opt import _GRID_POINTS, cpt_policy, optimal_policy, st_policy
 from .queue_analytics import (AccessPolicy, evaluate_policy,
                               min_departure_rate)
 
@@ -33,8 +33,7 @@ _SWEEP_VARIABLES = ("lambda_p", "n_p", "n_s", "r_ps", "beta", "alpha",
                     "sigma_pd")
 
 _SPEC_KEYS = {"sweep_variable", "sweep_values", "methods", "simulate",
-              "n_slots", "seeds", "output_path", "grid_points",
-              "warmup_slots"}
+              "n_slots", "seeds", "output_path", "warmup_slots"}
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,6 @@ class ExperimentSpec:
     simulate: bool = False
     n_slots: int = 1_000_000
     seeds: Tuple[int, ...] = (1,)
-    grid_points: int = 200
     warmup_slots: int = 10_000
 
 
@@ -60,7 +58,7 @@ def _parse_kv_file(path):
             lines = fh.readlines()
     except OSError as exc:
         return raw, [f"{path}: {exc}"]
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(lines, 1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
@@ -158,8 +156,7 @@ def _sweep_domain_error(variable, value, base):
     return None
 
 
-def _run_setting_errors(n_slots=1, warmup_slots=0, seeds=(1,), grid_points=2,
-                        names=None):
+def _run_setting_errors(n_slots, warmup_slots, seeds, names=None):
     """One message per run setting out of range, checked before any run.
 
     Sweep specs and the command line share these rules; ``names`` maps
@@ -168,8 +165,7 @@ def _run_setting_errors(n_slots=1, warmup_slots=0, seeds=(1,), grid_points=2,
     names = names or {}
     errors = []
     for key, value, least in (("n_slots", n_slots, 1),
-                              ("warmup_slots", warmup_slots, 0),
-                              ("grid_points", grid_points, 2)):
+                              ("warmup_slots", warmup_slots, 0)):
         if value < least:
             errors.append(f"{names.get(key, key)}: must be >= {least}, "
                           f"got {value}")
@@ -226,10 +222,9 @@ def load_spec(path, overrides=None):
         errors.append(f"simulate: expected a boolean, got {simulate_flag!r}")
     n_slots = intkey("n_slots", 1_000_000)
     warmup = intkey("warmup_slots", 10_000)
-    grid = intkey("grid_points", 200)
     seeds = _parse_list(spec_raw.get("seeds", "1"), int, "seeds", errors)
     errors.extend(_run_setting_errors(n_slots=n_slots, warmup_slots=warmup,
-                                      seeds=seeds, grid_points=grid))
+                                      seeds=seeds))
 
     if base is not None and variable in _SWEEP_VARIABLES:
         for v in values:
@@ -249,7 +244,6 @@ def load_spec(path, overrides=None):
         simulate=simulate_flag in ("true", "1", "yes"),
         n_slots=n_slots,
         seeds=seeds,
-        grid_points=grid,
         warmup_slots=warmup,
     ), []
 
@@ -296,13 +290,13 @@ def _spec_hash(spec: ExperimentSpec) -> str:
         for f in dataclass_fields(SystemConfig))
     payload = repr((base_items, spec.sweep_variable, spec.sweep_values,
                     spec.methods, spec.simulate, spec.n_slots, spec.seeds,
-                    spec.grid_points, spec.warmup_slots))
+                    _GRID_POINTS, spec.warmup_slots))
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def _search(method, cfg, grid_points):
+def _search(method, cfg):
     if method == "lp":
-        return optimal_policy(cfg, grid_points=grid_points)
+        return optimal_policy(cfg)
     if method == "cpt":
         return cpt_policy(cfg)
     return st_policy(cfg)
@@ -317,7 +311,7 @@ def sweep_records(spec: ExperimentSpec):
                                    cfg.pu_queue_capacity,
                                    cfg.loss_threshold)
         for method in spec.methods:
-            result = _search(method, cfg, spec.grid_points)
+            result = _search(method, cfg)
             ok = result.status == "ok"
             row = {
                 "value": value,
@@ -354,7 +348,7 @@ def run_sweep(spec: ExperimentSpec) -> str:
         columns += ["sim_mu_s", "sim_mu_p", "gap_mu_s", "gap_mu_p"]
         keys += ["sim_mu_s", "sim_mu_p", "gap_mu_s", "gap_mu_p"]
     lines = [
-        f"# config_hash={_spec_hash(spec)} grid={spec.grid_points} "
+        f"# config_hash={_spec_hash(spec)} grid={_GRID_POINTS} "
         f"version={__version__}",
         ",".join(columns),
     ]
@@ -387,13 +381,13 @@ def run_single(config: SystemConfig, method: Optional[str] = None,
                policy: Optional[AccessPolicy] = None,
                do_simulate: bool = False, n_slots: int = 1_000_000,
                seeds: Tuple[int, ...] = (1,), warmup_slots: int = 10_000,
-               grid_points: int = 200, stream=None) -> str:
+               stream=None) -> str:
     """Evaluate one policy (explicit or searched) and print a report."""
     if (method is None) == (policy is None):
         raise ValueError("method: give exactly one of method or policy")
     lines = []
     if method is not None:
-        result = _search(method, config, grid_points)
+        result = _search(method, config)
         lines.append(f"method = {method}")
         if result.status != "ok":
             lines.append(f"status = {result.status}")
@@ -480,8 +474,6 @@ def main(argv=None) -> int:
     p_opt = sub.add_parser("optimize", help="search for the best policy")
     add_common(p_opt)
     p_opt.add_argument("--method", required=True, choices=_METHOD_ORDER)
-    p_opt.add_argument("--grid", type=int, default=200,
-                       help="target-rate grid size for the exact search")
 
     p_sim = sub.add_parser("simulate", help="simulate a policy and compare")
     add_common(p_sim)
@@ -526,14 +518,11 @@ def main(argv=None) -> int:
         run_single(config, policy=policy)
         return 0
 
-    # every number is checked before any search runs
     if args.command == "optimize":
-        errors = _run_setting_errors(grid_points=args.grid)
-        if errors:
-            return _fail(errors)
-        run_single(config, method=args.method, grid_points=args.grid)
+        run_single(config, method=args.method)
         return 0
 
+    # every number is checked before any search runs
     seeds = (args.seed,)
     if args.seeds:
         seeds = _parse_list(args.seeds, int, "seeds", errors)

@@ -7,11 +7,11 @@ balance equations, inequality rows from probability budgets, and box
 bounds on everything.  Dense numpy factorizations are plenty at that
 size; no sparse machinery, no external solver.
 
-``solve_family`` solves a sequence of problems that differ only in
-their equality rows, each starting from the last optimal basis.  It
-tests that basis on a whole block of members with stacked linear
-algebra, so only the members where the basis stops being optimal pay
-for a simplex solve.
+``solve`` always starts cold.  ``solve_family`` solves a sequence of
+problems that differ only in their equality rows: it carries the last
+optimal basis along and tests it on a whole block of members with
+stacked linear algebra, so only the members where that basis stops
+being optimal pay for a simplex solve.
 """
 
 from __future__ import annotations
@@ -90,14 +90,13 @@ class LpSolution:
     values: Optional[np.ndarray]
     objective_value: Optional[float]
     # final (basic column per row, status per real or slack column),
-    # for ``solve(..., start=...)``; None unless optimal with no
-    # artificial left in the basis
+    # which ``solve_family`` carries to the next member; None unless
+    # optimal with no artificial left in the basis
     basis: Optional[Tuple[np.ndarray, np.ndarray]] = None
     # simplex steps (bound flips included) of (phase one, phase two);
     # phase one also counts the pivots that move leftover artificials
-    # out.  ``warm`` when phase two started from the given ``start``
+    # out.  (0, 0) for a family member solved by the carried basis
     pivots: Tuple[int, int] = (0, 0)
-    warm: bool = False
 
 
 def _simplex(a, b, cost, lo, up, basis, status, allowed):
@@ -156,20 +155,14 @@ def _simplex(a, b, cost, lo, up, basis, status, allowed):
     raise RuntimeError("simplex iteration limit hit; problem is ill posed")
 
 
-def solve(problem: LpProblem, start=None) -> LpSolution:
-    """Two-phase solve.  Deterministic for identical inputs.
+def solve(problem: LpProblem) -> LpSolution:
+    """Two-phase solve from a cold start.  Deterministic for identical inputs.
 
-    ``start`` is the ``basis`` of an earlier solution to a problem of
-    the same shape.  When that basis is primal feasible here, phase
-    one is skipped and phase two starts from it; otherwise, or when
-    the warm phase two ends numerically degenerate, the solve runs
-    cold.  Along a family of problems whose data move a little at a
-    time, that cuts most of the pivots.  Raises RuntimeError when the
-    problem is numerically degenerate (a singular basis, or a final
-    basis that violates the constraints).
+    Raises RuntimeError when the problem is numerically degenerate (a
+    singular basis, or a final basis that violates the constraints).
     """
     try:
-        return _solve(problem, start)
+        return _solve(problem)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError("singular basis; problem is numerically "
                            "degenerate") from exc
@@ -207,7 +200,7 @@ def _standard_form(a_eq, b_eq, a_ub, b_ub, bounds):
     return a, b, lo, up, status, n_real
 
 
-def _solve(problem, start):
+def _solve(problem):
     a_eq, b_eq = problem.eq_constraints
     a_ub, b_ub = problem.ineq_constraints
     n = problem.n_vars
@@ -228,20 +221,6 @@ def _solve(problem, start):
     a, b, lo, up, status, n_real = _standard_form(a_eq, b_eq, a_ub, b_ub,
                                                   problem.bounds)
     phase2_cost = _phase_two_cost(problem.objective, n_real + m)
-
-    if start is not None:
-        warm = _warm_basis(a, b, lo, up, start, n_real)
-        if warm is not None:
-            basis, warm_status = warm
-            up_w = up.copy()
-            up_w[n_real:] = 0.0
-            allowed = np.ones(n_real + m, dtype=bool)
-            allowed[n_real:] = False
-            solution = _phase_two(problem, a, b, phase2_cost, lo, up_w,
-                                  basis, warm_status, allowed, n_real,
-                                  phase_one=0, warm=True)
-            if solution is not None:
-                return solution
 
     basis = np.arange(n_real, n_real + m)
     status[basis] = _BASIC
@@ -282,7 +261,7 @@ def _solve(problem, start):
     allowed[n_real:] = False
 
     solution = _phase_two(problem, a, b, phase2_cost, lo, up, basis, status,
-                          allowed, n_real, phase_one=phase_one, warm=False)
+                          allowed, n_real, phase_one)
     # a degenerate basis must fail loudly rather than masquerade as an
     # optimal vertex
     if solution is None:
@@ -297,39 +276,8 @@ def _phase_two_cost(objective, width):
     return cost
 
 
-def _warm_basis(a, b, lo, up, start, n_real):
-    """Basis and column statuses from ``start``, or None when unusable.
-
-    Unusable means the wrong shape, a singular basis matrix, or basic
-    values outside their bounds by more than the feasibility tolerance.
-    """
-    rows, real_status = start
-    m = a.shape[0]
-    if rows.shape != (m,) or real_status.shape != (n_real,):
-        return None
-    basis = rows.copy()
-    status = _start_status(real_status, m)
-    xv = np.where(status == _AT_UP, up, lo)
-    xv[basis] = 0.0
-    try:
-        x_basic = np.linalg.solve(a[:, basis], b - a @ xv)
-    except np.linalg.LinAlgError:
-        return None
-    if not (np.all(x_basic >= lo[basis] - _FEAS_TOL)
-            and np.all(x_basic <= up[basis] + _FEAS_TOL)):
-        return None
-    return basis, status
-
-
-def _start_status(real_status, m):
-    """Column statuses of a carried basis, artificials at zero."""
-    status = np.full(real_status.size + m, _AT_LO, dtype=np.int8)
-    status[:real_status.size] = real_status
-    return status
-
-
 def _phase_two(problem, a, b, cost, lo, up, basis, status, allowed, n_real,
-               phase_one, warm):
+               phase_one):
     """Phase two from a primal-feasible basis.
 
     Returns the solution ("optimal" or "unbounded"), or None when the
@@ -340,7 +288,7 @@ def _phase_two(problem, a, b, cost, lo, up, basis, status, allowed, n_real,
     pivots = (phase_one, phase_two)
     if x_basic is None:
         return LpSolution(status="unbounded", values=None, objective_value=None,
-                          pivots=pivots, warm=warm)
+                          pivots=pivots)
 
     x = np.where(status == _AT_UP, up, lo)
     x[~np.isfinite(x)] = 0.0
@@ -353,7 +301,7 @@ def _phase_two(problem, a, b, cost, lo, up, basis, status, allowed, n_real,
         start = (basis.copy(), status[:n_real].copy())
     return LpSolution(status="optimal", values=values,
                       objective_value=float(problem.objective @ values),
-                      basis=start, pivots=pivots, warm=warm)
+                      basis=start, pivots=pivots)
 
 
 def solve_family(objective, eq_blocks, ineq_constraints=None, bounds=None):
@@ -362,22 +310,16 @@ def solve_family(objective, eq_blocks, ineq_constraints=None, bounds=None):
     ``eq_blocks`` yields blocks of members as stacks (a_eq of shape
     (k, m_eq, n), b_eq of shape (k, m_eq)); the objective, inequality
     rows and bounds are shared, as in ``LpProblem``.  Yields one entry
-    per member, exactly what this loop gives:
+    per member: its solution, or the RuntimeError its ``solve`` raised.
 
-        basis = None
-        for problem in family:
-            solution = solve(problem, start=basis)  # or the RuntimeError
-            basis = solution.basis or basis         # it raised
-
-    While a basis is carried it is tested on the rest of the block at
-    once, by the arithmetic of a warm ``solve``: the members where its
-    basic values lie within bounds, no column may enter and the rows
-    hold within 1e-6 are the ones the warm solve would return after
-    zero pivots, and they get that solution (``pivots`` (0, 0),
-    ``warm``).  Only the first member that fails the test goes through
-    ``solve``; so along a family whose optimal basis changes a few
-    times, only those changes pay for a simplex solve.  The caller's
-    block size bounds the stacked arrays.
+    The last optimal basis is carried along and tested on the rest of
+    the block at once: a member where its basic values lie within
+    bounds, no column may enter and the rows hold within 1e-6 is solved
+    by that basis, and gets its solution with ``pivots`` (0, 0).  The
+    first member that fails the test gets a cold ``solve``, whose basis,
+    when it has one, is carried on.  So along a family whose optimal
+    basis changes a few times, only those changes pay for a simplex
+    solve.  The caller's block size bounds the stacked arrays.
     """
     shared = LpProblem(objective, None, ineq_constraints, bounds)
     basis = None
@@ -395,7 +337,7 @@ def solve_family(objective, eq_blocks, ineq_constraints=None, bounds=None):
             problem = LpProblem(shared.objective, (a_eq[k], b_eq[k]),
                                 shared.ineq_constraints, shared.bounds)
             try:
-                solution = solve(problem, start=basis)
+                solution = solve(problem)
             except RuntimeError as exc:
                 # without its traceback the error holds no frame of
                 # this generator alive
@@ -409,20 +351,21 @@ def solve_family(objective, eq_blocks, ineq_constraints=None, bounds=None):
 def _carried_solutions(shared, a_eq, b_eq, start):
     """Solutions of the leading members that ``start`` solves unpivoted.
 
-    Mirrors a warm ``solve`` step by step on the stacked members:
-    ``_warm_basis``'s bound test, the first iteration of ``_simplex``
-    finding no eligible column, and ``_phase_two``'s residual test.
-    Stacked ``np.linalg.solve`` and matmul run the same LAPACK and BLAS
-    calls per member as the single ones, so every number agrees bit for
-    bit.  A singular member stops the test where it starts; ``solve``
-    then handles the member it reaches.
+    The test is the arithmetic of a phase two started from ``start``:
+    the basic values lie within their bounds, the first iteration of
+    ``_simplex`` finds no eligible column, and ``_phase_two``'s residual
+    test passes.  Stacked ``np.linalg.solve`` and matmul run the same
+    LAPACK and BLAS calls per member as the single ones, so every number
+    agrees bit for bit with the test of one member.  Where ``start`` is
+    singular at some member of the stack, only the first member is
+    tested, on its own, so the test stops at the singular member.
     """
     a_ub, b_ub = shared.ineq_constraints
     n = shared.n_vars
-    a, b, lo, up, _, n_real = _standard_form(a_eq, b_eq, a_ub, b_ub,
-                                             shared.bounds)
+    a, b, lo, up, status, n_real = _standard_form(a_eq, b_eq, a_ub, b_ub,
+                                                  shared.bounds)
     rows, real_status = start
-    status = _start_status(real_status, b.shape[-1])
+    status[:n_real] = real_status  # artificials stay at zero
     up[n_real:] = 0.0
     cost = _phase_two_cost(shared.objective, up.size)
     xv = np.where(status == _AT_UP, up, lo)
@@ -433,7 +376,9 @@ def _carried_solutions(shared, a_eq, b_eq, start):
         y = np.linalg.solve(np.swapaxes(bmat, -1, -2),
                             np.broadcast_to(cost[rows], x_basic.shape)[..., None])
     except np.linalg.LinAlgError:
-        return []
+        if b.shape[0] == 1:
+            return []
+        return _carried_solutions(shared, a_eq[:1], b_eq[:1], start)
     reduced = cost - (np.swapaxes(y, -1, -2) @ a)[:, 0, :]
     eligible = (status[:n_real] == _AT_LO) & (reduced[:, :n_real] < -_COST_TOL)
     eligible |= (status[:n_real] == _AT_UP) & (reduced[:, :n_real] > _COST_TOL)
@@ -453,7 +398,7 @@ def _carried_solutions(shared, a_eq, b_eq, start):
     count = int(np.argmin(ok)) if not ok.all() else ok.size
     return [LpSolution(status="optimal", values=values,
                        objective_value=float(shared.objective @ values),
-                       basis=start, pivots=(0, 0), warm=True)
+                       basis=start, pivots=(0, 0))
             for values in x[:count]]
 
 

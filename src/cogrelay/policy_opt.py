@@ -2,15 +2,16 @@
 
 The exact search fixes a target primary departure rate, at which the
 relay balance equations become linear in the pair (occupancy, shared
-occupancy), solves the resulting LP for each target on a grid, and
+occupancy), solves the resulting LP for each of 200 targets, and
 keeps the best vertex whose policy re-evaluates to a feasible
 equilibrium at the LP's own score.  The grid's LPs share everything
 but two rate-dependent terms, so they are solved as one family: the
 last optimal basis is tested on a whole block of grid rates at once,
 and only the rates where it stops being optimal pay for a simplex
 solve.  The restricted searches use a
-single constant sharing probability (a 65-point scan of it, refined at
-its feasibility edges) or a threshold rule (enumeration).
+single constant sharing probability (a scan of it up to its
+feasibility edge, refined there) or a threshold rule (enumeration up
+to the first infeasible threshold).
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import numpy as np
 
 from . import lp_core
 from .link_model import LinkBudget, SystemConfig, link_budget
-from .queue_analytics import (_FLOOR_SLACK, AccessPolicy, _brent,
-                              evaluate_policy, min_departure_rate,
+from .queue_analytics import (_FLOOR_SLACK, AccessPolicy, PolicyEvaluation,
+                              _brent, evaluate_policy, min_departure_rate,
                               pu_busy_probability)
 
 __all__ = [
@@ -39,6 +40,7 @@ __all__ = [
 ]
 
 _PAD = 1e-9  # widens the attainable window past fixed-point tolerance noise
+_GRID_POINTS = 200  # target rates of the exact search, window ends included
 _BLOCK = 16  # grid rates whose LP rows are built and tested together
 _SCORE_TOL = 1e-6  # LP score vs. re-evaluated throughput, to accept a vertex
 _CPT_STEPS = 64  # the CPT scan scores p = k / _CPT_STEPS
@@ -214,22 +216,21 @@ def _pinned_rate_rows(config, budget, mu):
     return a_eq, b_eq
 
 
-def optimal_policy(config: SystemConfig, grid_points: int = 200,
+def optimal_policy(config: SystemConfig,
                    budget: Optional[LinkBudget] = None) -> OptimizationResult:
     """Grid sweep of the pinned-rate LP; best verified objective wins.
 
-    The grid is uniform over the attainable target-rate window,
-    endpoints included, and needs at least 2 points.  The grid's LPs
+    The grid is ``_GRID_POINTS`` rates spread uniformly over the
+    attainable target-rate window, endpoints included.  The grid's LPs
     differ only in their rate-dependent rows, which are built
     ``_BLOCK`` rates at a time, and are solved in ascending rate order
     by ``lp_core.solve_family``: the last optimal basis is tested on
     the rest of the block at once, and only a point where it stops
-    being optimal pays for a simplex solve, warm-started from it.  A
-    point whose solve is numerically degenerate is dropped as
-    "unstable".  Each LP vertex is converted back to sharing
-    probabilities (p_n = a_n / pi_n, with p_n = 0 where the level is
-    unreachable) and re-evaluated through the fixed point.  The LP
-    only certifies that its target rate is one equilibrium of the
+    being optimal pays for a cold simplex solve.  A point whose solve
+    is numerically degenerate is dropped as "unstable".  Each LP
+    vertex is converted back to sharing probabilities (p_n = a_n /
+    pi_n, with p_n = 0 where the level is unreachable) and
+    re-evaluated through the fixed point.  The LP only certifies that its target rate is one equilibrium of the
     policy; the policy can have others below the floor, or settle
     elsewhere.  So candidates are tried in descending objective order
     (ties toward the smaller rate) and the first whose evaluation is
@@ -241,8 +242,6 @@ def optimal_policy(config: SystemConfig, grid_points: int = 200,
     policy scores the same and there is no LP to build; the never-share
     policy (the threshold search's tie-break) is evaluated instead.
     """
-    if grid_points < 2:
-        raise ValueError(f"grid_points: must be >= 2, got {grid_points}")
     b = budget if budget is not None else link_budget(config)
     window = attainable_mu_p_range(config, b)
     if window is None:
@@ -256,7 +255,7 @@ def optimal_policy(config: SystemConfig, grid_points: int = 200,
                                   evaluation=evaluation,
                                   swept_mu_p=evaluation.mu_p,
                                   objective=evaluation.mu_s, diagnostics=())
-    grid = np.linspace(window[0], window[1], grid_points)
+    grid = np.linspace(window[0], window[1], _GRID_POINTS)
     blocks = (_pinned_rate_rows(config, b, grid[i:i + _BLOCK])
               for i in range(0, grid.size, _BLOCK))
     lp_objective, ineq_constraints, bounds = _rate_free_parts(config, b)
@@ -309,19 +308,28 @@ def _step_policy(n_th: int, n_s: int) -> AccessPolicy:
 
 def cpt_policy(config: SystemConfig,
                budget: Optional[LinkBudget] = None) -> OptimizationResult:
-    """Best constant sharing probability: a scan of p and its edges.
+    """Best constant sharing probability: a scan of p and its edge.
 
-    A 65-point scan of p (k / 64) is refined at its feasibility edges:
-    wherever feasibility changes between neighbouring scan points,
-    Brent's method, then bisection, narrows the edge to ``_EDGE_TOL``
-    and keeps its feasible end.  At the defaults there is no edge, so
-    the search costs 65 evaluations.  The best point scored wins, ties
-    going to the smaller p.  An optimum between scan points away from
-    any edge (no bundled sweep cell has one) is not refined: it is
-    returned within half a scan step (1/128 in p), as the best scan
-    point.  ``diagnostics`` lists every scored p in order, with status
-    "scan" or "edge".  An empty target window holds no equilibrium, so
-    then nothing is scored.
+    Feasibility holds on a prefix of p.  Sharing swaps the relay's
+    success probability theta_sd for theta_sd_shared <= theta_sd, so
+    more sharing lowers the relay departure probability r_n at every
+    level.  That raises every ratio pi_n / pi_{n-1} of the relay chain
+    and the refused mass pi_N (1 - r_N), so the implied rate T(mu)
+    falls at every mu.  T is nondecreasing in mu, and the least fixed
+    point of a nondecreasing map falls with the map (Tarski), so the
+    lowest equilibrium, which decides feasibility, falls as p grows.
+
+    So the scan scores p = k / 64 up to the first infeasible point.
+    Brent's method, then bisection, narrows the edge between it and the
+    scan point below to ``_EDGE_TOL`` and keeps its feasible end; when
+    p = 0 is infeasible, so is every p.  At the defaults all 65 scan
+    points are feasible and there is no edge.
+    The best point scored wins, ties going to the smaller p.  An
+    optimum between scan points away from the edge (no bundled sweep
+    cell has one) is not refined: it is returned within half a scan
+    step (1/128 in p), as the best scan point.  ``diagnostics`` lists
+    every scored p in order, with status "scan" or "edge".  An empty
+    target window holds no equilibrium, so then nothing is scored.
     """
     b = budget if budget is not None else link_budget(config)
     if feasible_mu_p_range(config, b) is None:
@@ -357,12 +365,11 @@ def cpt_policy(config: SystemConfig,
             margin(0.5 * (bracket[0] + bracket[1]))
 
     grid = [k / _CPT_STEPS for k in range(_CPT_STEPS + 1)]
-    ok = [score(p, "scan") > -math.inf for p in grid]
-    for k in range(_CPT_STEPS):
-        if ok[k] and not ok[k + 1]:
-            edge(grid[k], grid[k + 1])
-        elif ok[k + 1] and not ok[k]:
-            edge(grid[k + 1], grid[k])
+    for k, p in enumerate(grid):
+        if score(p, "scan") == -math.inf:
+            if k > 0:
+                edge(grid[k - 1], p)
+            break
     diagnostics = tuple(SweepPoint(ev.mu_p, val, status, p)
                         for p, (val, ev, status) in sorted(scored.items()))
     best = max(diagnostics, key=lambda d: (d.objective, -d.share_prob))
@@ -382,7 +389,12 @@ def st_policy(config: SystemConfig,
 
     Enumerates thresholds 0..capacity; threshold 0 never shares at any
     occupied level, threshold = capacity is the all-ones policy.  Ties
-    go to the smaller threshold.
+    go to the smaller threshold.  A higher threshold shares at one more
+    level, where the relay's success probability drops from theta_sd to
+    theta_sd_shared <= theta_sd.  As in ``cpt_policy``, that lowers the
+    implied rate T(mu) at every mu and with it the lowest equilibrium,
+    so feasibility holds on a prefix of thresholds and the enumeration
+    stops at the first infeasible one.
     """
     b = budget if budget is not None else link_budget(config)
     n_s = config.relay_queue_capacity
@@ -393,7 +405,9 @@ def st_policy(config: SystemConfig,
         ev = evaluate_policy(config, policy, budget=b)
         val = ev.mu_s if ev.feasible else -math.inf
         diagnostics.append(SweepPoint(ev.mu_p, val, f"threshold_{n_th}"))
-        if math.isfinite(val) and (best is None or val > best[1]):
+        if not ev.feasible:
+            break
+        if best is None or val > best[1]:
             best = (n_th, val, policy, ev)
     if best is None:
         return _infeasible("st", diagnostics)

@@ -568,13 +568,61 @@ def row_by_row_lp(config, budget, mu_p):
     )
 
 
-def warm_started_lp_grid(config, grid_points=200, budget=None):
+def carried_basis_solution(problem, basis):
+    """The solution ``basis`` gives ``problem`` without a pivot, or None.
+
+    ``basis`` is the ``LpSolution.basis`` of an earlier problem of the
+    same shape.  It solves ``problem`` when a phase two started from it
+    would stop at once: the basis matrix is regular, the basic values
+    lie within their bounds to 1e-8, no column may enter (reduced costs
+    to 1e-9) and the rows hold within 1e-6.  One problem at a time, by
+    the arithmetic of ``lp_core``'s simplex, for the family solve's
+    stacked test to be checked against.
+    """
+    rows, real_status = basis
+    a_eq, b_eq = problem.eq_constraints
+    a_ub, b_ub = problem.ineq_constraints
+    a, b, lo, up, status, n_real = lp_core._standard_form(
+        a_eq, b_eq, a_ub, b_ub, problem.bounds)
+    status[:n_real] = real_status
+    up[n_real:] = 0.0  # artificials stay at zero
+    at_up = status == lp_core._AT_UP
+    xv = np.where(at_up, up, lo)
+    xv[rows] = 0.0
+    cost = np.zeros(up.size)
+    cost[:problem.n_vars] = -problem.objective
+    try:
+        x_basic = np.linalg.solve(a[:, rows], b - a @ xv)
+        y = np.linalg.solve(a[:, rows].T, cost[rows])
+    except np.linalg.LinAlgError:
+        return None
+    if not (np.all(x_basic >= lo[rows] - 1e-8)
+            and np.all(x_basic <= up[rows] + 1e-8)):
+        return None
+    reduced = (cost - y @ a)[:n_real]
+    if np.any(((status[:n_real] == lp_core._AT_LO) & (reduced < -1e-9))
+              | (at_up[:n_real] & (reduced > 1e-9))):
+        return None
+    x = np.where(at_up, up, lo)
+    x[~np.isfinite(x)] = 0.0
+    x[rows] = x_basic
+    values = x[:problem.n_vars].copy()
+    if max(lp_core._residuals(problem, values)) > 1e-6:
+        return None
+    return lp_core.LpSolution(status="optimal", values=values,
+                              objective_value=float(problem.objective @ values),
+                              basis=basis)
+
+
+def warm_started_lp_grid(config, budget=None):
     """The exact search as it was before the family solve, kept as a reference.
 
-    One warm-started ``lp_core.solve`` per grid point, on the LP built
-    row by row (``row_by_row_lp``); the package's ``optimal_policy``
-    must return a result identical to it, diagnostics included.  What
-    follows is its original description.
+    One grid point at a time, on the LP built row by row
+    (``row_by_row_lp``): a point keeps the last optimal basis when that
+    basis solves it without a pivot (``carried_basis_solution``), and
+    otherwise gets a cold ``lp_core.solve``.  The package's
+    ``optimal_policy`` must return a result identical to it,
+    diagnostics included.  What follows is its original description.
 
     Grid sweep of the pinned-rate LP; best verified objective wins.
 
@@ -609,11 +657,12 @@ def warm_started_lp_grid(config, grid_points=200, budget=None):
                                   objective=evaluation.mu_s, diagnostics=())
     diagnostics = []
     candidates = []
-    basis = None  # last optimal basis; neighbouring rates warm-start from it
-    for mu_p in np.linspace(window[0], window[1], max(grid_points, 2)):
+    basis = None  # last optimal basis; neighbouring rates may keep it
+    for mu_p in np.linspace(window[0], window[1], 200):
         problem = row_by_row_lp(config, b, float(mu_p))
+        sol = None if basis is None else carried_basis_solution(problem, basis)
         try:
-            sol = lp_core.solve(problem, start=basis)
+            sol = sol or lp_core.solve(problem)
         except RuntimeError:
             # numerically degenerate grid point (window edges can sit a
             # hair outside exact feasibility); drop it, keep sweeping

@@ -282,8 +282,7 @@ def buffer_size_results():
             optimal_policy(replace(SystemConfig(), gain_pd=gain,
                                    pu_arrival_rate=0.5,
                                    pu_queue_capacity=100,
-                                   relay_queue_capacity=n_s),
-                           grid_points=60)
+                                   relay_queue_capacity=n_s))
             for n_s in range(1, 21)]
     return results
 
@@ -460,8 +459,7 @@ def test_c10_repeated_sweeps_are_byte_identical(tmp_path):
             "simulate = true\n"
             "n_slots = 50000\n"
             "warmup_slots = 2000\n"
-            "seeds = 11 12\n"
-            "grid_points = 60\n")
+            "seeds = 11 12\n")
     path = tmp_path / "repro.spec"
     path.write_text(body + f"output_path = {tmp_path / 'first.csv'}\n")
     spec, errors = load_spec(str(path))

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 from pathlib import Path
 
@@ -164,7 +165,6 @@ def test_sweep_output_is_byte_stable(tmp_path):
         "sweep_variable = lambda_p\n"
         "sweep_values = 0.1 0.4 0.8\n"
         "methods = lp st\n"
-        "grid_points = 40\n"
         f"output_path = {tmp_path / 'a.csv'}\n"))
     first = Path(run_sweep(spec)).read_bytes()
     again = dataclasses.replace(spec, output_path=str(tmp_path / "b.csv"))
@@ -178,12 +178,46 @@ def test_infeasible_point_zeroes_the_row(tmp_path):
         "relay_queue_capacity = 3\n"
         "sweep_variable = lambda_p\n"
         "sweep_values = 0.9\n"
-        "grid_points = 40\n"
         f"output_path = {tmp_path / 'c.csv'}\n"))
     row = Path(run_sweep(spec)).read_text().splitlines()[2].split(",")
     assert row[2] == "0"        # no secondary throughput claimed
     assert row[3] == "nan"      # no operating point exists
     assert row[5] == "false"
+
+
+# sha256 of the CSV each bundled spec writes (the digests that
+# scripts/run_experiments.py prints)
+SWEEP_DIGESTS = {
+    "sweep_arrival_rate.spec":
+        "9eea79d3a5fd3ba6d2fcab66f03cd5475930db5f1fbd444a4c18fe813cc3d751",
+    "sweep_pu_buffer.spec":
+        "1c58b7195b527c2e2748a80fce199326f8039f64c4ef6d010bd779e34e8898f8",
+    "sweep_receive_fraction.spec":
+        "9e25416489505269cdd9e9d24541d2d19876a025f4255c9ac0d8fceeaed94378",
+    "sweep_relay_buffer.spec":
+        "e61b375bd62fa5e4e20e46a2f184522cd1b409a3645277367608066cf98e2707",
+    "sweep_relay_position.spec":
+        "cea6b1367380be66d5826f97fac1b48ebf926ac1a0058226d4c4a98db126df73",
+    "sweep_time_share.spec":
+        "f5548a11a60cc477959ec948c57113976515fffce23784ae53ec4fb8b623675b",
+}
+
+
+def test_bundled_sweeps_write_their_pinned_csvs(tmp_path):
+    moved = []
+    paths = sorted(CONFIGS.glob("sweep_*.spec"))
+    assert [p.name for p in paths] == sorted(SWEEP_DIGESTS)
+    for path in paths:
+        spec, errors = load_spec(str(path), {
+            "output_path": str(tmp_path / f"{path.stem}.csv")})
+        assert errors == []
+        text = Path(run_sweep(spec)).read_bytes()
+        if hashlib.sha256(text).hexdigest() != SWEEP_DIGESTS[path.name]:
+            moved.append(path.name)
+    assert moved == [], (
+        f"the CSV of {', '.join(moved)} changed: rerun "
+        "scripts/run_experiments.py, record the moved rows in CHANGES.md "
+        "and pin the new digests here")
 
 
 # -- single-run reports -----------------------------------------------------
@@ -205,8 +239,7 @@ def test_search_reports_show_their_knob(defaults):
     st_text = run_single(defaults, method="st", stream=out)
     assert "method = st\n" in st_text
     assert any(l.startswith("threshold = ") for l in st_text.splitlines())
-    lp_text = run_single(defaults, method="lp", grid_points=40,
-                         stream=io.StringIO())
+    lp_text = run_single(defaults, method="lp", stream=io.StringIO())
     assert any(l.startswith("swept_mu_p = ") for l in lp_text.splitlines())
     assert any(l.startswith("lp_objective = ") for l in lp_text.splitlines())
 
@@ -311,7 +344,6 @@ RELAY_BUFFER_SPEC = str(CONFIGS / "sweep_relay_buffer.spec")
     ("n_slots", "0", "n_slots: must be >= 1, got 0"),
     ("warmup_slots", "-5", "warmup_slots: must be >= 0, got -5"),
     ("seeds", "-1", "seed: must be a non-negative integer, got -1"),
-    ("grid_points", "0", "grid_points: must be >= 2, got 0"),
 ])
 def test_spec_rejects_run_settings_out_of_range(key, value, message):
     spec, errors = load_spec(RELAY_BUFFER_SPEC, {key: value})
@@ -319,16 +351,33 @@ def test_spec_rejects_run_settings_out_of_range(key, value, message):
     assert errors == [message]
 
 
-@pytest.mark.parametrize("grid", ["0", "-3"])
-def test_cli_optimize_rejects_grid_below_two(capsys, monkeypatch, grid):
+def test_cli_optimize_has_no_grid_option(capsys, monkeypatch):
+    # the exact search always solves 200 target rates
     def no_search(*args, **kwargs):
         raise AssertionError("searched before checking the arguments")
 
     monkeypatch.setattr(experiments_cli, "run_single", no_search)
-    rc = main(["optimize", "--config", DEFAULTS_CFG, "--method", "lp",
-               "--grid", grid])
-    captured = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", "--config", DEFAULTS_CFG, "--method", "lp",
+              "--grid", "60"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid 60" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, source", [
+    (["sweep", "--spec"], RELAY_BUFFER_SPEC),
+    (["optimize", "--method", "lp", "--config"], DEFAULTS_CFG),
+], ids=["spec", "config"])
+def test_grid_points_is_an_unknown_field(tmp_path, capsys, monkeypatch,
+                                         command, source):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before checking the arguments")
+
+    monkeypatch.setattr(experiments_cli, "run_single", no_search)
+    monkeypatch.setattr(experiments_cli, "run_sweep", no_search)
+    path = tmp_path / Path(source).name
+    path.write_text(Path(source).read_text() + "grid_points = 60\n")
+    rc = main(command + [str(path)])
     assert rc == 2
-    assert "Traceback" not in captured.err
-    assert captured.err.splitlines() == [
-        f"error: grid_points: must be >= 2, got {grid}"]
+    assert capsys.readouterr().err.splitlines() == [
+        "error: grid_points: unknown field"]

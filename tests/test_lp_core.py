@@ -7,7 +7,7 @@ import pytest
 from cogrelay import lp_core
 from cogrelay.lp_core import LpProblem
 
-from _oracles import brute_force_lp
+from _oracles import brute_force_lp, carried_basis_solution
 
 
 def box(n, lo=0.0, up=1.0):
@@ -193,61 +193,16 @@ def _shifted_family(seed, count):
                         bounds=box(6))
 
 
-def test_warm_start_matches_cold_solve():
-    warm_used = 0
-    basis = None
-    for p in _shifted_family(11, 25):
-        cold = lp_core.solve(p)
-        warm = lp_core.solve(p, start=basis)
-        assert warm.status == cold.status
-        if cold.status != "optimal":
-            continue
-        assert abs(warm.objective_value - cold.objective_value) <= 1e-9
-        assert lp_core.verify(p, warm)["ok"]
-        warm_used += basis is not None
-        basis = warm.basis if warm.basis is not None else basis
-    assert warm_used > 0
-
-
-def test_unusable_start_falls_back_to_cold_solve():
-    problems = list(_shifted_family(11, 2))
-    first = lp_core.solve(problems[0])
-    assert first.status == "optimal" and first.basis is not None
-    rows, statuses = first.basis
-    cold = lp_core.solve(problems[1])
-    # a basis of the wrong shape, and a singular one, are both ignored
-    for start in ((rows[:-1], statuses), (np.zeros_like(rows), statuses)):
-        s = lp_core.solve(problems[1], start=start)
-        assert s.status == cold.status
-        assert np.array_equal(s.values, cold.values)
-
-
 def test_pivot_counts_on_a_hand_solved_lp():
     # maximize x1 + 2 x2 with x1 + x2 <= 1.5 on the unit box.  Phase one
     # (Bland) runs x1 to its upper bound, then pivots x2 in for the
     # artificial; phase two brings x1 down into the basis while x2 runs
-    # to its upper bound: (2, 1).  Restarted from its own basis the
-    # solve needs no step at all.
+    # to its upper bound: (2, 1)
     p = LpProblem(objective=(1.0, 2.0), eq_constraints=no_rows(2),
                   ineq_constraints=(((1.0, 1.0),), (1.5,)), bounds=box(2))
     cold = lp_core.solve(p)
     assert cold.values == pytest.approx((0.5, 1.0))
-    assert (cold.pivots, cold.warm) == ((2, 1), False)
-    warm = lp_core.solve(p, start=cold.basis)
-    assert np.array_equal(warm.values, cold.values)
-    assert (warm.pivots, warm.warm) == ((0, 0), True)
-
-
-def test_warm_solves_take_fewer_pivots():
-    cold_steps = warm_steps = 0
-    basis = None
-    for p in _shifted_family(11, 25):
-        cold = lp_core.solve(p)
-        warm = lp_core.solve(p, start=basis)
-        cold_steps += sum(cold.pivots)
-        warm_steps += sum(warm.pivots)
-        basis = warm.basis if warm.basis is not None else basis
-    assert warm_steps < cold_steps
+    assert cold.pivots == (2, 1)
 
 
 def test_stacked_linear_algebra_matches_single_calls():
@@ -274,16 +229,29 @@ def test_stacked_linear_algebra_matches_single_calls():
 
 
 def _sequential(problems):
+    # a member keeps the carried basis when that basis solves it, and
+    # otherwise gets a cold solve
     out, basis = [], None
     for p in problems:
+        sol = None if basis is None else carried_basis_solution(p, basis)
         try:
-            sol = lp_core.solve(p, start=basis)
+            sol = sol or lp_core.solve(p)
         except RuntimeError as exc:
             out.append(exc)
             continue
         out.append(sol)
         basis = sol.basis if sol.basis is not None else basis
     return out
+
+
+def _solve_in_blocks(problems, size):
+    stacked = [np.stack([p.eq_constraints[i] for p in problems])
+               for i in (0, 1)]
+    blocks = [(stacked[0][i:i + size], stacked[1][i:i + size])
+              for i in range(0, len(problems), size)]
+    p0 = problems[0]
+    return list(lp_core.solve_family(p0.objective, blocks,
+                                     p0.ineq_constraints, p0.bounds))
 
 
 def _same(got, want):
@@ -298,7 +266,7 @@ def _same(got, want):
                                  in zip(got.basis, want.basis)))
     return (same_values and same_basis and got.status == want.status
             and repr(got.objective_value) == repr(want.objective_value)
-            and got.pivots == want.pivots and got.warm == want.warm)
+            and got.pivots == want.pivots)
 
 
 def test_family_matches_sequential_solves():
@@ -318,19 +286,25 @@ def test_family_matches_sequential_solves():
     want = _sequential(problems)
     assert want[17].status == "optimal" and want[17].basis is None
     assert want[25].status == "infeasible"
-    stacked = [np.stack([p.eq_constraints[i] for p in problems])
-               for i in (0, 1)]
     # blocks of 16, 16 and 8 members: certified runs cross block edges
-    blocks = [(stacked[0][i:i + 16], stacked[1][i:i + 16])
-              for i in range(0, 40, 16)]
-    p0 = problems[0]
-    got = list(lp_core.solve_family(p0.objective, blocks,
-                                    p0.ineq_constraints, p0.bounds))
+    got = _solve_in_blocks(problems, 16)
     assert len(got) == len(want)
     for k, (g, w) in enumerate(zip(got, want)):
         assert _same(g, w), k
     # most members ride on a carried basis without a pivot
-    assert sum(1 for g in got if g.warm and g.pivots == (0, 0)) >= 30
+    assert sum(1 for g in got if g.pivots == (0, 0)) >= 30
+
+
+def test_family_solves_a_last_block_of_one_member():
+    # 33 members in blocks of 16: the last block holds a single member,
+    # which the carried basis solves
+    problems = list(_shifted_family(5, 33))
+    want = _sequential(problems)
+    assert want[-1].pivots == (0, 0)
+    got = _solve_in_blocks(problems, 16)
+    assert len(got) == len(want)
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert _same(g, w), k
 
 
 def test_family_reports_a_degenerate_member(monkeypatch):
@@ -340,44 +314,51 @@ def test_family_reports_a_degenerate_member(monkeypatch):
     real = lp_core.solve
     calls = []
 
-    def flaky(problem, start=None):
-        calls.append(start)
+    def flaky(problem):
+        calls.append(problem)
         if len(calls) == 2:
             raise RuntimeError("singular basis; problem is numerically "
                                "degenerate")
-        return real(problem, start=start)
+        return real(problem)
 
     monkeypatch.setattr(lp_core, "solve", flaky)
     a_eq = np.stack([p.eq_constraints[0] for p in problems])
     b_eq = np.stack([p.eq_constraints[1] for p in problems])
     p0 = problems[0]
-    # the carried basis is tested on nothing: every member is solved
-    monkeypatch.setattr(lp_core, "_carried_solutions", lambda *a: [])
+    # the carried basis solves nothing, so every member is solved; the
+    # bases it is tested with are recorded
+    tested = []
+    monkeypatch.setattr(lp_core, "_carried_solutions",
+                        lambda *a: tested.append(a[-1]) or [])
     got = list(lp_core.solve_family(p0.objective, [(a_eq, b_eq)],
                                     p0.ineq_constraints, p0.bounds))
     assert isinstance(got[1], RuntimeError)
     assert all(g.status == "optimal" for k, g in enumerate(got) if k != 1)
-    assert calls[2] is not None and calls[2] is calls[1]
+    assert len(calls) == 6
+    # member 2 is tested with member 0's basis, as member 1 was
+    assert tested[1] is tested[0] is got[0].basis
 
 
 @pytest.mark.parametrize("slopes, rhs, seen", [
     # the basis {x1} stays feasible all along but stops being optimal
     # once t < 1, where x2 buys more objective per unit of the row
     (np.linspace(1.5, 0.6, 10), np.full(10, 0.5),
-     lambda s: s.warm and s.pivots[1] > 0),
-    # x1 = -5e-7 is out of bounds by more than the warm start allows
+     lambda s: s.pivots != (0, 0)),
+    # x1 = -5e-7 is out of bounds by more than the carried basis allows
     # but within the residual test's 1e-6; the solve finds no point
     (np.full(4, 2.0), np.array([0.5, 0.3, -5e-7, 0.4]),
      lambda s: s.status == "infeasible"),
 ])
 def test_family_retests_every_condition_of_a_warm_solve(slopes, rhs, seen):
-    # maximize x1 + x2 subject to x1 + t x2 = rhs on the unit box
+    # maximize x1 + x2 subject to x1 + t x2 = rhs on the unit box; the
+    # carried basis is the warm start of the next member, and a member
+    # it does not solve gets a cold solve
     problems = [LpProblem(objective=(1.0, 1.0),
                           eq_constraints=(((1.0, t),), (r,)),
                           ineq_constraints=no_rows(2), bounds=box(2))
                 for t, r in zip(slopes, rhs)]
     sequential = _sequential(problems)
-    assert any(seen(s) for s in sequential)
+    assert any(seen(s) for s in sequential[1:])
     blocks = [(np.array([[[1.0, t]] for t in slopes]), rhs[:, None])]
     got = list(lp_core.solve_family((1.0, 1.0), blocks, bounds=box(2)))
     assert len(got) == len(sequential)

@@ -152,7 +152,7 @@ def test_trajectories_track_the_fixed_point():
 def test_comparison_report_shape():
     cfg = dataclasses.replace(SystemConfig(), pu_arrival_rate=0.3,
                               pu_queue_capacity=50, relay_queue_capacity=5)
-    policy = optimal_policy(cfg, grid_points=60).policy
+    policy = optimal_policy(cfg).policy
     out = compare(cfg, policy, n_slots=200_000, seeds=(7, 8))
     ana = out["analytic"]
     ev = evaluate_policy(cfg, policy)

@@ -96,7 +96,7 @@ def test_pinned_rate_row_at_the_ceiling(defaults, budget):
 
 def test_idle_primary_gives_full_throughput(defaults, budget):
     cfg = dataclasses.replace(defaults, pu_arrival_rate=0.0)
-    r = optimal_policy(cfg, grid_points=40)
+    r = optimal_policy(cfg)
     assert r.status == "ok"
     assert r.mu_s == pytest.approx(budget.theta_sr, abs=1e-9)
 
@@ -111,7 +111,7 @@ def test_overload_reports_infeasible(defaults):
 def test_objective_matches_reevaluation(defaults):
     for lam in (0.1, 0.5, 0.7):
         cfg = dataclasses.replace(defaults, pu_arrival_rate=lam)
-        r = optimal_policy(cfg, grid_points=60)
+        r = optimal_policy(cfg)
         assert r.status == "ok"
         assert abs(r.objective - r.evaluation.mu_s) <= 1e-6
         assert r.evaluation.feasible
@@ -161,7 +161,7 @@ def test_unverifiable_vertices_yield_no_policy(defaults, monkeypatch):
     real = policy_opt.evaluate_policy
     monkeypatch.setattr(policy_opt, "evaluate_policy", lambda *a, **k:
                         dataclasses.replace(real(*a, **k), feasible=False))
-    r = optimal_policy(defaults, grid_points=20)
+    r = optimal_policy(defaults)
     assert r.status == "unverified"
     assert r.policy is None
     assert r.mu_s == 0.0
@@ -170,7 +170,7 @@ def test_unverifiable_vertices_yield_no_policy(defaults, monkeypatch):
 
 def test_no_coarse_grid_policy_beats_lp(defaults):
     cfg = dataclasses.replace(defaults, relay_queue_capacity=2)
-    r = optimal_policy(cfg, grid_points=60)
+    r = optimal_policy(cfg)
     best = 0.0
     for p1, p2 in itertools.product(np.linspace(0, 1, 21), repeat=2):
         ev = evaluate_policy(cfg, AccessPolicy((1.0, p1, p2)))
@@ -183,14 +183,14 @@ def test_throughput_shrinks_with_load(defaults):
     values = []
     for lam in (0.1, 0.3, 0.5, 0.6, 0.7):
         cfg = dataclasses.replace(defaults, pu_arrival_rate=lam)
-        r = optimal_policy(cfg, grid_points=60)
+        r = optimal_policy(cfg)
         assert r.status == "ok"
         values.append(r.mu_s)
     assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
 
 def test_sweep_diagnostics_mostly_stable(defaults):
-    r = optimal_policy(defaults, grid_points=60)
+    r = optimal_policy(defaults)
     statuses = [d.status for d in r.diagnostics]
     assert statuses.count("unstable") <= 2
     assert statuses.count("optimal") >= len(statuses) - 4
@@ -199,9 +199,9 @@ def test_sweep_diagnostics_mostly_stable(defaults):
 
 
 def test_warm_started_sweep_matches_cold_solves(defaults, budget):
-    # each grid LP starts from its neighbour's basis; the scores must be
+    # most grid LPs keep their neighbour's basis; the scores must be
     # those of independent cold solves
-    r = optimal_policy(defaults, grid_points=20)
+    r = optimal_policy(defaults)
     for d in r.diagnostics:
         if d.status != "optimal":
             continue
@@ -225,16 +225,15 @@ def _time_share_base():
     return spec.base
 
 
-@pytest.mark.parametrize("case, grid", [
-    ("defaults", 200),
-    ("defaults", 2 * policy_opt._BLOCK + 1),  # a last block of one point
-    ("F2", 200),        # alpha = 0.041 on the time-share base: unstable points
-    ("light_load", 200),  # lambda_p = 0.1: a window about 1e-9 wide
-    ("n_s=1", 200),
-    ("n_s=20", 60),
-    ("pu_infeasible", 200),
-])
-def test_family_search_matches_the_per_point_loop(defaults, case, grid):
+@pytest.mark.parametrize("case", [
+    "defaults",
+    "F2",          # alpha = 0.041 on the time-share base: unstable points
+    "light_load",  # lambda_p = 0.1: a window about 1e-9 wide
+    "n_s=1",
+    "n_s=20",
+    "pu_infeasible",
+], ids=lambda case: f"{case}-{policy_opt._GRID_POINTS}")
+def test_family_search_matches_the_per_point_loop(defaults, case):
     cfg = {"defaults": defaults,
            "F2": dataclasses.replace(_time_share_base(), alpha=0.041),
            "light_load": dataclasses.replace(defaults, pu_arrival_rate=0.1),
@@ -242,8 +241,7 @@ def test_family_search_matches_the_per_point_loop(defaults, case, grid):
            "n_s=20": dataclasses.replace(defaults, relay_queue_capacity=20),
            "pu_infeasible": dataclasses.replace(defaults,
                                                 pu_arrival_rate=0.9)}[case]
-    new, ref = optimal_policy(cfg, grid_points=grid), warm_started_lp_grid(
-        cfg, grid_points=grid)
+    new, ref = optimal_policy(cfg), warm_started_lp_grid(cfg)
     assert _search_key(new) == _search_key(ref)
     if case == "F2":
         assert any(d.status == "unstable" for d in new.diagnostics)
@@ -259,13 +257,6 @@ def test_exact_search_solves_only_at_basis_changes(defaults, monkeypatch):
     r = optimal_policy(defaults)
     assert r.status == "ok" and len(r.diagnostics) == 200
     assert 1 <= len(calls) <= 20
-
-
-@pytest.mark.parametrize("grid", [1, 0, -3])
-def test_grid_below_two_points_is_rejected(defaults, grid):
-    with pytest.raises(ValueError,
-                       match=f"^grid_points: must be >= 2, got {grid}$"):
-        optimal_policy(defaults, grid_points=grid)
 
 
 @pytest.mark.parametrize("n_s", [1, 2, 10, 20])
@@ -302,7 +293,7 @@ def test_cpt_tracks_its_own_grid(defaults, budget):
 
 
 def test_cpt_never_beats_lp(defaults):
-    lp = optimal_policy(defaults, grid_points=60)
+    lp = optimal_policy(defaults)
     assert cpt_policy(defaults).mu_s <= lp.mu_s + 1e-9
 
 
@@ -328,8 +319,11 @@ def test_cpt_diagnostics_list_every_scored_point():
     probs = [d.share_prob for d in r.diagnostics]
     assert probs == sorted(set(probs))
     assert {d.status for d in r.diagnostics} == {"scan", "edge"}
-    assert [d.share_prob for d in r.diagnostics if d.status == "scan"] == [
-        k / 64 for k in range(65)]
+    # the scan runs up to its first infeasible point and stops there
+    scan = [d for d in r.diagnostics if d.status == "scan"]
+    assert [d.share_prob for d in scan] == [k / 64 for k in range(len(scan))]
+    assert [d.objective == -math.inf for d in scan] == (
+        [False] * (len(scan) - 1) + [True])
     picked = [d for d in r.diagnostics if d.share_prob == r.policy.probs[1]]
     assert len(picked) == 1
     assert picked[0].objective == r.objective == r.mu_s
@@ -437,6 +431,35 @@ def test_cpt_never_scores_below_the_golden_and_scan_search():
     assert cells == 132
 
 
+def test_feasibility_is_a_prefix_in_p_and_in_the_threshold():
+    # more sharing lowers the lowest equilibrium (see cpt_policy), so on
+    # every bundled cell the feasible scan points p = k / 64 and the
+    # feasible thresholds each form a prefix, and ST stops at the first
+    # infeasible threshold
+    cells = 0
+    for path in sorted(CONFIGS.glob("sweep_*.spec")):
+        spec, errors = load_spec(str(path))
+        assert errors == []
+        for value in spec.sweep_values:
+            cfg = apply_sweep_value(spec.base, spec.sweep_variable, value)
+            b = link_budget(cfg)
+            n_s = cfg.relay_queue_capacity
+            uniform = [(1.0,) + (k / 64,) * n_s for k in range(65)]
+            steps = [(1.0,) * (t + 1) + (0.0,) * (n_s - t)
+                     for t in range(n_s + 1)]
+            feasible = {}
+            for kind, policies in (("p", uniform), ("threshold", steps)):
+                ok = [evaluate_policy(cfg, AccessPolicy(probs), b).feasible
+                      for probs in policies]
+                feasible[kind] = ok.index(False) if False in ok else len(ok)
+                assert not any(ok[feasible[kind]:]), (path.name, value, kind)
+            scored = len(st_policy(cfg, b).diagnostics)
+            assert scored == min(feasible["threshold"] + 1, n_s + 1), (
+                path.name, value)
+            cells += 1
+    assert cells == 132
+
+
 def test_cpt_skips_scoring_when_no_rate_is_feasible(defaults, monkeypatch):
     # every equilibrium lies inside the closed-form target window, so an
     # empty window settles the search before any policy is evaluated
@@ -499,5 +522,5 @@ def test_st_tie_prefers_smaller_threshold(defaults, budget):
 
 
 def test_st_never_beats_lp(defaults):
-    lp = optimal_policy(defaults, grid_points=60)
+    lp = optimal_policy(defaults)
     assert st_policy(defaults).mu_s <= lp.mu_s + 1e-9
