@@ -351,6 +351,22 @@ def test_spec_rejects_run_settings_out_of_range(key, value, message):
     assert errors == [message]
 
 
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_cli_optimize_rejects_grid_below_two(capsys, monkeypatch, grid):
+    # --grid is gone, so argparse refuses every value before any search
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before checking the arguments")
+
+    monkeypatch.setattr(experiments_cli, "run_single", no_search)
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", "--config", DEFAULTS_CFG, "--method", "lp",
+              "--grid", grid])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "Traceback" not in captured.err
+    assert f"unrecognized arguments: --grid {grid}" in captured.err
+
+
 def test_cli_optimize_has_no_grid_option(capsys, monkeypatch):
     # the exact search always solves 200 target rates
     def no_search(*args, **kwargs):
