@@ -28,12 +28,15 @@ __all__ = ["ExperimentSpec", "validate_config", "load_spec",
 _INT_FIELDS = {"pu_queue_capacity", "relay_queue_capacity"}
 _CONFIG_FIELDS = {f.name for f in dataclass_fields(SystemConfig)}
 _GAIN_FIELDS = {"gain_pd", "gain_ps", "gain_sd", "gain_sr"}
-_METHOD_ORDER = ("lp", "cpt", "st")
-_SWEEP_VARIABLES = ("lambda_p", "n_p", "n_s", "r_ps", "beta", "alpha",
-                    "sigma_pd")
-
-_SPEC_KEYS = {"sweep_variable", "sweep_values", "methods", "simulate",
-              "n_slots", "seeds", "output_path", "warmup_slots"}
+# each method's search, in the order a sweep reports them
+_SEARCHES = {"lp": optimal_policy, "cpt": cpt_policy, "st": st_policy}
+_METHOD_ORDER = tuple(_SEARCHES)
+# the config field each sweep variable sets; r_ps moves two more
+# distances with it (see apply_sweep_value)
+_SWEEP_FIELDS = {"lambda_p": "pu_arrival_rate", "n_p": "pu_queue_capacity",
+                 "n_s": "relay_queue_capacity", "r_ps": "distance_ps",
+                 "beta": "beta", "alpha": "alpha", "sigma_pd": "gain_pd"}
+_SWEEP_VARIABLES = tuple(_SWEEP_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -47,6 +50,9 @@ class ExperimentSpec:
     n_slots: int = 1_000_000
     seeds: Tuple[int, ...] = (1,)
     warmup_slots: int = 10_000
+
+
+_SPEC_KEYS = {f.name for f in dataclass_fields(ExperimentSpec)} - {"base"}
 
 
 def _parse_kv_file(path):
@@ -122,9 +128,8 @@ def validate_config(path, overrides=None):
     optional {key: raw string} mapping applied on top of the file.
     """
     raw, errors = _parse_kv_file(path)
-    unknown_spec = [k for k in raw if k in _SPEC_KEYS]
-    for k in unknown_spec:
-        del raw[k]  # sweep-spec keys are harmless in a config file
+    # sweep-spec keys are harmless in a config file
+    raw = {k: v for k, v in raw.items() if k not in _SPEC_KEYS}
     if overrides:
         raw.update(overrides)
     cfg = _build_config(raw, errors)
@@ -140,20 +145,6 @@ def _parse_list(value, conv, key, errors):
         except ValueError:
             errors.append(f"{key}: bad entry {item!r}")
     return tuple(out)
-
-
-def _sweep_domain_error(variable, value, base):
-    if variable == "lambda_p" and not 0.0 <= value <= 1.0:
-        return "must lie in [0, 1]"
-    if variable in ("beta", "alpha") and not 0.0 <= value <= 1.0:
-        return "must lie in [0, 1]"
-    if variable in ("n_p", "n_s") and (value < 1 or value != int(value)):
-        return "must be an integer >= 1"
-    if variable == "r_ps" and not 0.0 < value < base.distance_pd:
-        return f"must lie strictly between 0 and distance_pd ({base.distance_pd})"
-    if variable == "sigma_pd" and not value > 0.0:
-        return "must be positive"
-    return None
 
 
 def _run_setting_errors(n_slots, warmup_slots, seeds, names=None):
@@ -201,37 +192,38 @@ def load_spec(path, overrides=None):
             errors.append("sweep_values: empty")
     methods = _parse_list(spec_raw.get("methods", "lp"), str, "methods", errors)
     for m in methods:
-        if m not in _METHOD_ORDER:
+        if m not in _SEARCHES:
             errors.append(f"methods: unknown method {m!r}")
     if not methods:
         errors.append("methods: empty")
     if "output_path" not in spec_raw:
         errors.append("output_path: missing")
 
-    def intkey(key, default):
-        if key not in spec_raw:
-            return default
+    def intkey(key):
         try:
-            return int(spec_raw[key])
+            return int(spec_raw.get(key, getattr(ExperimentSpec, key)))
         except ValueError:
             errors.append(f"{key}: expected an integer, got {spec_raw[key]!r}")
-            return default
+            return getattr(ExperimentSpec, key)
 
     simulate_flag = spec_raw.get("simulate", "false").strip().lower()
     if simulate_flag not in ("true", "false", "0", "1", "yes", "no"):
         errors.append(f"simulate: expected a boolean, got {simulate_flag!r}")
-    n_slots = intkey("n_slots", 1_000_000)
-    warmup = intkey("warmup_slots", 10_000)
-    seeds = _parse_list(spec_raw.get("seeds", "1"), int, "seeds", errors)
+    n_slots = intkey("n_slots")
+    warmup = intkey("warmup_slots")
+    seeds = (_parse_list(spec_raw["seeds"], int, "seeds", errors)
+             if "seeds" in spec_raw else ExperimentSpec.seeds)
     errors.extend(_run_setting_errors(n_slots=n_slots, warmup_slots=warmup,
                                       seeds=seeds))
 
+    # the config each value makes checks the value's domain
     if base is not None and variable in _SWEEP_VARIABLES:
         for v in values:
-            msg = _sweep_domain_error(variable, v, base)
-            if msg:
+            try:
+                apply_sweep_value(base, variable, v)
+            except ValueError as exc:
                 errors.append(f"sweep_values: {v:g} out of domain "
-                              f"for {variable} ({msg})")
+                              f"for {variable} ({exc})")
                 break
     if errors:
         return None, errors
@@ -255,25 +247,20 @@ def apply_sweep_value(base: SystemConfig, variable: str,
     ``r_ps`` moves the secondary along the line between the primary
     and the destination: the destination and the secondary's own
     receiver sit together at the far end, so their distances shrink
-    as the primary-to-secondary distance grows.
+    as the primary-to-secondary distance grows.  Raises ValueError for
+    an unknown variable or a value the config refuses, a non-integral
+    buffer size included.
     """
-    if variable == "lambda_p":
-        return replace(base, pu_arrival_rate=value)
-    if variable == "n_p":
-        return replace(base, pu_queue_capacity=int(value))
-    if variable == "n_s":
-        return replace(base, relay_queue_capacity=int(value))
-    if variable == "beta":
-        return replace(base, beta=value)
-    if variable == "alpha":
-        return replace(base, alpha=value)
-    if variable == "sigma_pd":
-        return replace(base, gain_pd=value)
+    if variable not in _SWEEP_FIELDS:
+        raise ValueError(f"sweep_variable: unknown variable {variable!r}")
+    field = _SWEEP_FIELDS[variable]
+    if field in _INT_FIELDS and float(value).is_integer():
+        value = int(value)
+    changes = {field: value}
     if variable == "r_ps":
-        rest = base.distance_pd - value
-        return replace(base, distance_ps=value, distance_sd=rest,
-                       distance_sr=rest)
-    raise ValueError(f"sweep_variable: unknown variable {variable!r}")
+        changes["distance_sd"] = changes["distance_sr"] = (
+            base.distance_pd - value)
+    return replace(base, **changes)
 
 
 def _fmt(x) -> str:
@@ -294,16 +281,8 @@ def _spec_hash(spec: ExperimentSpec) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def _search(method, cfg):
-    if method == "lp":
-        return optimal_policy(cfg)
-    if method == "cpt":
-        return cpt_policy(cfg)
-    return st_policy(cfg)
-
-
 def sweep_records(spec: ExperimentSpec):
-    """All sweep rows as dicts, in output order."""
+    """All sweep rows as dicts keyed by CSV column, in output order."""
     records = []
     for value in spec.sweep_values:
         cfg = apply_sweep_value(spec.base, spec.sweep_variable, value)
@@ -311,49 +290,44 @@ def sweep_records(spec: ExperimentSpec):
                                    cfg.pu_queue_capacity,
                                    cfg.loss_threshold)
         for method in spec.methods:
-            result = _search(method, cfg)
-            ok = result.status == "ok"
+            result = _SEARCHES[method](cfg)
+            ok = result.status == "ok"  # "ok" implies a feasible evaluation
             row = {
-                "value": value,
+                spec.sweep_variable: value,
                 "method": method,
                 "mu_s": result.mu_s if ok else 0.0,
                 "mu_p": result.evaluation.mu_p if ok else math.nan,
                 "mu_p_bar": floor if floor is not None else math.inf,
-                "feasible": bool(ok and result.evaluation.feasible),
+                "feasible": ok,
             }
             if spec.simulate:
+                sim_mu_s = sim_mu_p = math.nan
                 if ok:
                     sims = [simulate(cfg, result.policy, spec.n_slots, seed,
                                      warmup_slots=spec.warmup_slots)
                             for seed in spec.seeds]
                     sim_mu_s = sum(s.measured_mu_s for s in sims) / len(sims)
                     sim_mu_p = sum(s.measured_mu_p for s in sims) / len(sims)
-                    row.update(sim_mu_s=sim_mu_s, sim_mu_p=sim_mu_p,
-                               gap_mu_s=abs(sim_mu_s - row["mu_s"]),
-                               gap_mu_p=abs(sim_mu_p - row["mu_p"]))
-                else:
-                    row.update(sim_mu_s=math.nan, sim_mu_p=math.nan,
-                               gap_mu_s=math.nan, gap_mu_p=math.nan)
+                row.update(sim_mu_s=sim_mu_s, sim_mu_p=sim_mu_p,
+                           gap_mu_s=abs(sim_mu_s - row["mu_s"]),
+                           gap_mu_p=abs(sim_mu_p - row["mu_p"]))
             records.append(row)
     return records
 
 
 def run_sweep(spec: ExperimentSpec) -> str:
     """Execute the sweep and write its CSV; returns the output path."""
-    records = sweep_records(spec)
     columns = [spec.sweep_variable, "method", "mu_s", "mu_p", "mu_p_bar",
                "feasible"]
-    keys = ["value", "method", "mu_s", "mu_p", "mu_p_bar", "feasible"]
     if spec.simulate:
         columns += ["sim_mu_s", "sim_mu_p", "gap_mu_s", "gap_mu_p"]
-        keys += ["sim_mu_s", "sim_mu_p", "gap_mu_s", "gap_mu_p"]
     lines = [
         f"# config_hash={_spec_hash(spec)} grid={_GRID_POINTS} "
         f"version={__version__}",
         ",".join(columns),
     ]
-    for row in records:
-        lines.append(",".join(_fmt(row[k]) for k in keys))
+    for row in sweep_records(spec):
+        lines.append(",".join(_fmt(row[c]) for c in columns))
     text = "\n".join(lines) + "\n"
     with open(spec.output_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
@@ -361,8 +335,9 @@ def run_sweep(spec: ExperimentSpec) -> str:
 
 
 def _parse_policy_arg(arg, n_s, errors):
+    known = len(errors)
     parts = _parse_list(arg, float, "policy", errors)
-    if errors:
+    if len(errors) > known:
         return None
     if len(parts) == n_s:  # levels 1..N_S given, level 0 implied
         parts = (1.0,) + parts
@@ -379,22 +354,20 @@ def _parse_policy_arg(arg, n_s, errors):
 
 def run_single(config: SystemConfig, method: Optional[str] = None,
                policy: Optional[AccessPolicy] = None,
-               do_simulate: bool = False, n_slots: int = 1_000_000,
-               seeds: Tuple[int, ...] = (1,), warmup_slots: int = 10_000,
-               stream=None) -> str:
-    """Evaluate one policy (explicit or searched) and print a report."""
+               do_simulate: bool = False,
+               n_slots: int = ExperimentSpec.n_slots,
+               seeds: Tuple[int, ...] = ExperimentSpec.seeds,
+               warmup_slots: int = ExperimentSpec.warmup_slots) -> str:
+    """The report on one policy, explicit or searched, as text."""
     if (method is None) == (policy is None):
         raise ValueError("method: give exactly one of method or policy")
     lines = []
     if method is not None:
-        result = _search(method, config)
+        result = _SEARCHES[method](config)
         lines.append(f"method = {method}")
         if result.status != "ok":
-            lines.append(f"status = {result.status}")
-            lines.append("mu_s = 0")
-            text = "\n".join(lines) + "\n"
-            print(text, end="", file=stream or sys.stdout)
-            return text
+            lines += [f"status = {result.status}", "mu_s = 0"]
+            return "\n".join(lines) + "\n"
         policy = result.policy
         if method == "st":
             threshold = sum(1 for p in policy.probs[1:] if p == 1.0)
@@ -430,9 +403,7 @@ def run_single(config: SystemConfig, method: Optional[str] = None,
                 f"gap_mu_p={_fmt(g['gap_mu_p'])} "
                 f"tv_relay={_fmt(g['tv_relay'])} "
                 f"within={_fmt(g['within'])}")
-    text = "\n".join(lines) + "\n"
-    print(text, end="", file=stream or sys.stdout)
-    return text
+    return "\n".join(lines) + "\n"
 
 
 def _overrides_from_args(pairs, errors):
@@ -477,13 +448,16 @@ def main(argv=None) -> int:
 
     p_sim = sub.add_parser("simulate", help="simulate a policy and compare")
     add_common(p_sim)
-    p_sim.add_argument("--policy", default=None)
-    p_sim.add_argument("--method", default=None, choices=_METHOD_ORDER)
+    source = p_sim.add_mutually_exclusive_group()
+    source.add_argument("--policy", default=None)
+    source.add_argument("--method", default=None, choices=_METHOD_ORDER,
+                        help="search for the policy (default: lp)")
     p_sim.add_argument("--slots", type=int, required=True)
-    p_sim.add_argument("--seed", type=int, default=1)
-    p_sim.add_argument("--seeds", default=None,
-                       help="comma list of seeds (overrides --seed)")
-    p_sim.add_argument("--warmup", type=int, default=10_000)
+    seed = p_sim.add_mutually_exclusive_group()
+    seed.add_argument("--seed", type=int, default=ExperimentSpec.seeds[0])
+    seed.add_argument("--seeds", default=None, help="comma list of seeds")
+    p_sim.add_argument("--warmup", type=int,
+                       default=ExperimentSpec.warmup_slots)
 
     p_sweep = sub.add_parser("sweep", help="run a sweep spec to CSV")
     p_sweep.add_argument("--spec", required=True)
@@ -499,48 +473,37 @@ def main(argv=None) -> int:
         spec, errors = load_spec(args.spec, overrides)
         if errors:
             return _fail(errors)
-        path = run_sweep(spec)
-        print(f"wrote {path}")
+        print(f"wrote {run_sweep(spec)}")
         return 0
 
     config, errors = validate_config(args.config, overrides)
     if errors:
         return _fail(errors)
 
-    if args.command == "evaluate":
-        if args.policy is None:
-            policy = AccessPolicy((1.0,) * (config.relay_queue_capacity + 1))
-        else:
-            policy = _parse_policy_arg(args.policy,
-                                       config.relay_queue_capacity, errors)
-            if errors:
-                return _fail(errors)
-        run_single(config, policy=policy)
-        return 0
-
     if args.command == "optimize":
-        run_single(config, method=args.method)
+        print(run_single(config, method=args.method), end="")
         return 0
 
-    # every number is checked before any search runs
-    seeds = (args.seed,)
-    if args.seeds:
-        seeds = _parse_list(args.seeds, int, "seeds", errors)
-    errors.extend(_run_setting_errors(
-        n_slots=args.slots, warmup_slots=args.warmup, seeds=seeds,
-        names={"n_slots": "slots", "warmup_slots": "warmup"}))
+    run = {}
+    if args.command == "simulate":
+        # every number is checked before any search runs
+        seeds = (args.seed,)
+        if args.seeds is not None:
+            seeds = _parse_list(args.seeds, int, "seeds", errors)
+        errors.extend(_run_setting_errors(
+            n_slots=args.slots, warmup_slots=args.warmup, seeds=seeds,
+            names={"n_slots": "slots", "warmup_slots": "warmup"}))
+        run = dict(do_simulate=True, n_slots=args.slots, seeds=seeds,
+                   warmup_slots=args.warmup)
+    n_s = config.relay_queue_capacity
+    policy = method = None
+    if args.policy is not None:
+        policy = _parse_policy_arg(args.policy, n_s, errors)
+    elif args.command == "evaluate":
+        policy = AccessPolicy((1.0,) * (n_s + 1))
+    else:
+        method = args.method or "lp"
     if errors:
         return _fail(errors)
-    policy = None
-    method = args.method
-    if args.policy is not None:
-        policy = _parse_policy_arg(args.policy, config.relay_queue_capacity,
-                                   errors)
-        if errors:
-            return _fail(errors)
-        method = None
-    elif method is None:
-        method = "lp"
-    run_single(config, method=method, policy=policy, do_simulate=True,
-               n_slots=args.slots, seeds=seeds, warmup_slots=args.warmup)
+    print(run_single(config, method=method, policy=policy, **run), end="")
     return 0

@@ -95,7 +95,8 @@ class LpSolution:
     basis: Optional[Tuple[np.ndarray, np.ndarray]] = None
     # simplex steps (bound flips included) of (phase one, phase two);
     # phase one also counts the pivots that move leftover artificials
-    # out.  (0, 0) for a family member solved by the carried basis
+    # out, and a problem with no rows counts only bound flips.  (0, 0)
+    # for a family member solved by the carried basis
     pivots: Tuple[int, int] = (0, 0)
 
 
@@ -203,21 +204,7 @@ def _standard_form(a_eq, b_eq, a_ub, b_ub, bounds):
 def _solve(problem):
     a_eq, b_eq = problem.eq_constraints
     a_ub, b_ub = problem.ineq_constraints
-    n = problem.n_vars
     m = a_eq.shape[0] + a_ub.shape[0]
-
-    if m == 0:
-        # pure box problem: optimize each coordinate independently
-        x = np.empty(n)
-        for j, (l, h) in enumerate(problem.bounds):
-            cj = problem.objective[j]
-            x[j] = h if cj > 0.0 else l if cj < 0.0 else (l if np.isfinite(l) else h)
-            if not np.isfinite(x[j]):
-                return LpSolution(status="unbounded", values=None,
-                                  objective_value=None)
-        return LpSolution(status="optimal", values=x,
-                          objective_value=float(problem.objective @ x))
-
     a, b, lo, up, status, n_real = _standard_form(a_eq, b_eq, a_ub, b_ub,
                                                   problem.bounds)
     phase2_cost = _phase_two_cost(problem.objective, n_real + m)

@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import io
 from pathlib import Path
 
 import pytest
@@ -98,6 +97,25 @@ def test_spec_rejects_bad_method_and_domain(tmp_path):
     assert "1.4 out of domain for lambda_p" in joined
 
 
+@pytest.mark.parametrize("variable, value", [
+    ("lambda_p", "1.4"), ("beta", "-0.1"), ("alpha", "1.2"), ("n_p", "0"),
+    ("n_p", "2.5"), ("n_s", "2.5"), ("r_ps", "0"), ("r_ps", "200"),
+    ("sigma_pd", "0"),
+])
+def test_spec_rejects_values_outside_the_config_domain(tmp_path, variable,
+                                                       value):
+    # r_ps = 200 is distance_pd, which leaves no distance to the far end
+    spec, errors = load_spec(_write_spec(
+        tmp_path,
+        f"sweep_variable = {variable}\n"
+        f"sweep_values = {value}\n"
+        "output_path = out.csv\n"))
+    assert spec is None
+    assert len(errors) == 1
+    assert errors[0].startswith(
+        f"sweep_values: {value} out of domain for {variable} (")
+
+
 def test_spec_normalizes_order(tmp_path):
     spec, errors = load_spec(_write_spec(
         tmp_path,
@@ -130,6 +148,12 @@ def test_position_sweep_slides_both_distances():
     assert cfg.distance_sd == 170.0
     assert cfg.distance_sr == 170.0
     assert cfg.distance_pd == 200.0
+
+
+def test_buffer_sweep_refuses_a_fractional_size():
+    with pytest.raises(ValueError, match="pu_queue_capacity"):
+        apply_sweep_value(SystemConfig(), "n_p", 2.5)
+    assert apply_sweep_value(SystemConfig(), "n_p", 3.0).pu_queue_capacity == 3
 
 
 # -- CSV output -------------------------------------------------------------
@@ -224,9 +248,7 @@ def test_bundled_sweeps_write_their_pinned_csvs(tmp_path):
 
 def test_explicit_policy_report(defaults):
     cfg = dataclasses.replace(defaults, relay_queue_capacity=2)
-    out = io.StringIO()
-    text = run_single(cfg, policy=AccessPolicy((1.0, 0.5, 0.25)), stream=out)
-    assert out.getvalue() == text
+    text = run_single(cfg, policy=AccessPolicy((1.0, 0.5, 0.25)))
     assert "policy = 1,0.5,0.25\n" in text
     assert "feasible = true\n" in text
     occ_line = next(l for l in text.splitlines()
@@ -235,18 +257,17 @@ def test_explicit_policy_report(defaults):
 
 
 def test_search_reports_show_their_knob(defaults):
-    out = io.StringIO()
-    st_text = run_single(defaults, method="st", stream=out)
+    st_text = run_single(defaults, method="st")
     assert "method = st\n" in st_text
     assert any(l.startswith("threshold = ") for l in st_text.splitlines())
-    lp_text = run_single(defaults, method="lp", stream=io.StringIO())
+    lp_text = run_single(defaults, method="lp")
     assert any(l.startswith("swept_mu_p = ") for l in lp_text.splitlines())
     assert any(l.startswith("lp_objective = ") for l in lp_text.splitlines())
 
 
 def test_overloaded_report_is_short(defaults):
     cfg = dataclasses.replace(defaults, pu_arrival_rate=0.9)
-    text = run_single(cfg, method="lp", stream=io.StringIO())
+    text = run_single(cfg, method="lp")
     assert "status = pu_infeasible\n" in text
     assert "mu_s = 0\n" in text
     assert "relay_occupancy" not in text
@@ -254,10 +275,9 @@ def test_overloaded_report_is_short(defaults):
 
 def test_exactly_one_input_mode(defaults):
     with pytest.raises(ValueError, match="method"):
-        run_single(defaults, stream=io.StringIO())
+        run_single(defaults)
     with pytest.raises(ValueError, match="method"):
-        run_single(defaults, method="st",
-                   policy=AccessPolicy((1.0,) * 11), stream=io.StringIO())
+        run_single(defaults, method="st", policy=AccessPolicy((1.0,) * 11))
 
 
 # -- command line -----------------------------------------------------------
@@ -335,6 +355,28 @@ def test_cli_simulate_rejects_bad_numbers_before_searching(
     assert rc == 2
     assert "Traceback" not in captured.err
     assert message in captured.err.splitlines()
+
+
+@pytest.mark.parametrize("flags, clash", [
+    (["--policy", "1,1,1,1,1,1,1,1,1,1", "--method", "st"],
+     "argument --method: not allowed with argument --policy"),
+    (["--seed", "3", "--seeds", "1,2"],
+     "argument --seeds: not allowed with argument --seed"),
+], ids=["policy-method", "seed-seeds"])
+def test_cli_simulate_refuses_both_flags_of_a_pair(capsys, monkeypatch,
+                                                   flags, clash):
+    # the two flags of each pair contradict each other, so the command
+    # refuses the pair before any search
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before checking the arguments")
+
+    monkeypatch.setattr(experiments_cli, "run_single", no_search)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", DEFAULTS_CFG, "--slots", "100"]
+             + flags)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert clash in captured.err
 
 
 RELAY_BUFFER_SPEC = str(CONFIGS / "sweep_relay_buffer.spec")

@@ -19,13 +19,20 @@ def no_rows(n):
 
 
 def test_pure_box_maximum():
-    p = LpProblem(objective=(2.0, -1.0, 0.5),
-                  eq_constraints=no_rows(3), ineq_constraints=no_rows(3),
-                  bounds=box(3))
-    s = lp_core.solve(p)
-    assert s.status == "optimal"
-    assert s.values == pytest.approx((1.0, 0.0, 1.0))
-    assert s.objective_value == pytest.approx(2.5)
+    for bounds, values, objective in (
+            (box(3), (1.0, 0.0, 1.0), 2.5),
+            # a rising objective lifts a variable with no lower bound to
+            # its top
+            (((-np.inf, 2.0), (0.0, 1.0), (0.0, 1.0)), (2.0, 0.0, 1.0), 4.5),
+            # a fixed variable sits on its one value whatever its cost
+            (((0.5, 0.5), (0.25, 0.25), (0.0, 1.0)), (0.5, 0.25, 1.0), 1.25)):
+        p = LpProblem(objective=(2.0, -1.0, 0.5),
+                      eq_constraints=no_rows(3), ineq_constraints=no_rows(3),
+                      bounds=bounds)
+        s = lp_core.solve(p)
+        assert s.status == "optimal", bounds
+        assert s.values == pytest.approx(values)
+        assert s.objective_value == pytest.approx(objective)
 
 
 def test_single_budget_row():
