@@ -4,8 +4,11 @@ Bounded-variable primal simplex, two phases, Bland's rule throughout so
 every solve is deterministic and cycle free.  Built for the policy
 problems in this package: a few dozen variables, equality rows from
 balance equations, inequality rows from probability budgets, and box
-bounds on everything.  Dense numpy factorizations are plenty at that
-size; no sparse machinery, no external solver.
+bounds on everything.  The simplex is the revised one: it keeps the
+inverse of the basis matrix, dense, updates it by one rank-one (eta)
+step per pivot and computes it afresh every ``_REFACTOR`` updates, so a
+pivot costs a few matrix-vector products; no sparse machinery, no
+external solver.
 
 ``solve`` always starts cold.  ``solve_family`` solves a sequence of
 problems that differ only in their equality rows: it carries the last
@@ -28,6 +31,7 @@ _AT_LO, _AT_UP, _BASIC = 0, 1, 2
 _PIVOT_TOL = 1e-9
 _COST_TOL = 1e-9
 _FEAS_TOL = 1e-8
+_REFACTOR = 32  # eta updates of the basis inverse between fresh inverses
 
 
 @dataclass(frozen=True)
@@ -100,60 +104,87 @@ class LpSolution:
     pivots: Tuple[int, int] = (0, 0)
 
 
-def _simplex(a, b, cost, lo, up, basis, status, allowed):
+def _simplex(a, b, cost, lo, up, basis, status, allowed, inverse):
     """Run primal simplex to optimality on the current phase.
 
     ``basis`` holds one column index per row; ``status`` marks every
     column lower-bound, upper-bound or basic; ``allowed`` masks columns
-    permitted to enter (artificials are barred in phase two).  Mutates
+    permitted to enter (artificials are barred in phase two);
+    ``inverse`` is the inverse of the basis matrix ``a[:, basis]`` with
+    its count of updates (see ``_replace_column``).  Mutates
     basis/status in place and returns the final basic values, or None
-    when the phase is unbounded, with the number of steps taken.
+    when the phase is unbounded, with the number of steps taken and the
+    inverse of the final basis.
     """
+    # the move each column may make to enter: rise from its lower bound
+    # (+1), fall from its upper bound (-1) or none (0: basic, or barred)
+    sign = np.where(status == _AT_LO, 1.0, -1.0) * (allowed
+                                                    & (status != _BASIC))
+    xv = np.where(status == _AT_UP, up, lo)  # nonbasic values, basic at 0
+    xv[basis] = 0.0
     for steps_taken in range(50000):
-        bmat = a[:, basis]
-        xv = np.where(status == _AT_UP, up, lo)
-        xv[basis] = 0.0
-        x_basic = np.linalg.solve(bmat, b - a @ xv)
-        y = np.linalg.solve(bmat.T, cost[basis])
-        reduced = cost - y @ a
+        binv = inverse[0]
+        x_basic = binv @ (b - a @ xv)
+        reduced = cost - (cost[basis] @ binv) @ a
 
         # Bland: smallest eligible index, so ties can never cycle
-        eligible = allowed & (((status == _AT_LO) & (reduced < -_COST_TOL))
-                              | ((status == _AT_UP) & (reduced > _COST_TOL)))
-        if not eligible.any():
-            return x_basic, steps_taken
+        eligible = sign * reduced < -_COST_TOL
         entering = int(np.argmax(eligible))
-        direction = 1 if status[entering] == _AT_LO else -1
+        if not eligible[entering]:
+            return x_basic, steps_taken, inverse
+        direction = sign[entering]
 
-        w = np.linalg.solve(bmat, a[:, entering]) * direction
+        column = binv @ a[:, entering]
         # candidate steps: basic variables driven to a finite bound, plus
-        # the entering variable running to its own other bound (row -1)
-        falls, rises = w > _PIVOT_TOL, w < -_PIVOT_TOL
+        # the entering variable running to its own other bound
+        falls = column * direction > _PIVOT_TOL
         room = np.where(falls, x_basic - lo[basis], up[basis] - x_basic)
-        rows = np.flatnonzero((falls | rises) & np.isfinite(room))
-        steps = np.maximum(room[rows], 0.0) / np.abs(w[rows])
-        variables = basis[rows]
+        size = np.abs(column)
+        steps = np.divide(np.maximum(room, 0.0), size,
+                          out=np.full(size.size, np.inf),
+                          where=size > _PIVOT_TOL)
         span = up[entering] - lo[entering]
-        if np.isfinite(span):
-            steps = np.append(steps, span)
-            variables = np.append(variables, entering)
-            rows = np.append(rows, -1)
-        if steps.size == 0:
-            return None, steps_taken  # nothing blocks the step: unbounded ray
+        reach = min(steps.min(initial=np.inf), span) + 1e-12
+        if reach == np.inf:
+            return None, steps_taken, inverse  # nothing blocks: unbounded ray
         # among (near-)blocking candidates pick the smallest variable
         # index, again Bland
-        blocking = np.flatnonzero(steps <= steps.min() + 1e-12)
-        pick = blocking[np.argmin(variables[blocking])]
-        var, row = int(variables[pick]), int(rows[pick])
-        leave_status = _AT_LO if row >= 0 and falls[row] else _AT_UP
-        if row < 0:
+        near = np.flatnonzero(steps <= reach)
+        if span <= reach and (near.size == 0
+                              or entering < basis[near].min()):
             # entering variable runs to its other bound, basis unchanged
             status[entering] = _AT_UP if direction > 0 else _AT_LO
+            xv[entering] = up[entering] if direction > 0 else lo[entering]
+            sign[entering] = -direction
             continue
+        row = int(near[np.argmin(basis[near])])
+        leaving = basis[row]
+        status[leaving] = _AT_LO if falls[row] else _AT_UP
+        xv[leaving] = lo[leaving] if falls[row] else up[leaving]
+        sign[leaving] = allowed[leaving] * (1.0 if falls[row] else -1.0)
         basis[row] = entering
         status[entering] = _BASIC
-        status[var] = leave_status
+        xv[entering] = sign[entering] = 0.0
+        inverse = _replace_column(a, basis, inverse, column, row)
     raise RuntimeError("simplex iteration limit hit; problem is ill posed")
+
+
+def _replace_column(a, basis, inverse, column, row):
+    """The basis inverse once ``basis[row]`` holds a new column.
+
+    ``inverse`` is (inverse of the old basis, updates since it was last
+    computed afresh) and ``column`` the old inverse times the new
+    column.  The new inverse is the product-form (eta) update of the
+    old one, rank one on the pivot row; after ``_REFACTOR`` updates it
+    is computed afresh instead, so rounding cannot pile up.
+    """
+    binv, updates = inverse
+    if updates == _REFACTOR:
+        return np.linalg.inv(a[:, basis]), 0
+    pivot = binv[row] / column[row]
+    binv -= column[:, None] * pivot
+    binv[row] = pivot
+    return binv, updates + 1
 
 
 def solve(problem: LpProblem) -> LpSolution:
@@ -215,8 +246,9 @@ def _solve(problem):
 
     phase1_cost = np.zeros(n_real + m)
     phase1_cost[n_real:] = 1.0
-    x_basic, phase_one = _simplex(a, b, phase1_cost, lo, up, basis, status,
-                                  allowed)
+    x_basic, phase_one, inverse = _simplex(a, b, phase1_cost, lo, up, basis,
+                                           status, allowed,
+                                           (np.linalg.inv(a[:, basis]), 0))
     if x_basic is None:
         raise RuntimeError("phase one cannot be unbounded")
     art_total = sum(x_basic[i] for i in range(m) if basis[i] >= n_real)
@@ -225,30 +257,29 @@ def _solve(problem):
                           pivots=(phase_one, 0))
 
     # pivot leftover artificials out where a solid column exists; pick
-    # the largest pivot, and refuse near-singular ones outright (a
-    # 1e-9-scale pivot would poison every later factorization), in
-    # which case the artificial stays basic, pinned to zero
+    # the largest pivot (row i of the basis inverse times the real
+    # columns), and refuse near-singular ones outright (a 1e-9-scale
+    # pivot would poison every later update), in which case the
+    # artificial stays basic, pinned to zero
     for i in range(m):
         if basis[i] < n_real:
             continue
-        bmat = a[:, basis]
-        row = np.linalg.solve(bmat.T, np.eye(m)[i]) @ a[:, :n_real]
-        pick = -1
-        best = 1e-7
-        for j in range(n_real):
-            if status[j] != _BASIC and abs(row[j]) > best:
-                pick, best = j, abs(row[j])
-        if pick >= 0:
+        binv = inverse[0]
+        row = np.where(status[:n_real] == _BASIC, 0.0,
+                       np.abs(binv[i] @ a[:, :n_real]))
+        pick = int(np.argmax(row))
+        if row[pick] > 1e-7:
             status[basis[i]] = _AT_LO
             basis[i] = pick
             status[pick] = _BASIC
+            inverse = _replace_column(a, basis, inverse, binv @ a[:, pick], i)
             phase_one += 1
     lo[n_real:] = 0.0
     up[n_real:] = 0.0
     allowed[n_real:] = False
 
     solution = _phase_two(problem, a, b, phase2_cost, lo, up, basis, status,
-                          allowed, n_real, phase_one)
+                          allowed, n_real, phase_one, inverse)
     # a degenerate basis must fail loudly rather than masquerade as an
     # optimal vertex
     if solution is None:
@@ -264,14 +295,15 @@ def _phase_two_cost(objective, width):
 
 
 def _phase_two(problem, a, b, cost, lo, up, basis, status, allowed, n_real,
-               phase_one):
+               phase_one, inverse):
     """Phase two from a primal-feasible basis.
 
     Returns the solution ("optimal" or "unbounded"), or None when the
     optimal basis violates the constraints by more than 1e-6.
     """
     n = problem.n_vars
-    x_basic, phase_two = _simplex(a, b, cost, lo, up, basis, status, allowed)
+    x_basic, phase_two, _ = _simplex(a, b, cost, lo, up, basis, status,
+                                     allowed, inverse)
     pivots = (phase_one, phase_two)
     if x_basic is None:
         return LpSolution(status="unbounded", values=None, objective_value=None,

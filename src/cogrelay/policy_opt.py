@@ -127,6 +127,14 @@ def attainable_mu_p_range(config: SystemConfig,
     intersection of the two intervals; by continuity in the policy,
     every interior point of the window is realizable, hence feasible
     for the target-rate LP.  Returns (lo, hi) or None when empty.
+
+    The ends are the *reported* equilibria (``evaluate_policy(...).mu_p``)
+    of the always-share and never-share policies.  The bounds that hold
+    for every policy are the least fixed point of always-share and the
+    greatest fixed point of never-share; where either policy has
+    several equilibria the window can be narrower than those bounds.
+    On all 132 bundled sweep cells both policies have one equilibrium,
+    so the two agree there.
     """
     b = budget if budget is not None else link_budget(config)
     rng = feasible_mu_p_range(config, b)

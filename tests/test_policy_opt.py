@@ -133,8 +133,9 @@ def test_vertices_with_infeasible_equilibria_are_skipped(alpha):
 
 def test_singular_basis_drops_the_grid_point():
     # on the time-share sweep's base at alpha = 0.041 a cold phase one
-    # meets a singular basis; that grid point is dropped as "unstable"
-    # and the search still finds the restricted searches' throughput
+    # once met a singular basis when each pivot solved with a fresh LU
+    # factorization, and that grid point was dropped as "unstable"; the
+    # search must find the restricted searches' throughput there
     spec, errors = load_spec(str(CONFIGS / "sweep_time_share.spec"))
     assert errors == []
     r = optimal_policy(dataclasses.replace(spec.base, alpha=0.041))
@@ -227,7 +228,7 @@ def _time_share_base():
 
 @pytest.mark.parametrize("case", [
     "defaults",
-    "F2",          # alpha = 0.041 on the time-share base: unstable points
+    "F2",          # alpha = 0.041 on the time-share base: once unstable
     "light_load",  # lambda_p = 0.1: a window about 1e-9 wide
     "n_s=1",
     "n_s=20",
@@ -244,6 +245,9 @@ def test_family_search_matches_the_per_point_loop(defaults, case):
     new, ref = optimal_policy(cfg), warm_started_lp_grid(cfg)
     assert _search_key(new) == _search_key(ref)
     if case == "F2":
+        assert not any(d.status == "unstable" for d in new.diagnostics)
+    if case == "defaults":
+        # one solve here produces an infeasible basis: the drop path
         assert any(d.status == "unstable" for d in new.diagnostics)
 
 
@@ -257,6 +261,59 @@ def test_exact_search_solves_only_at_basis_changes(defaults, monkeypatch):
     r = optimal_policy(defaults)
     assert r.status == "ok" and len(r.diagnostics) == 200
     assert 1 <= len(calls) <= 20
+
+
+def _spy_on_solve(monkeypatch):
+    """Record each cold solve as (problem, solution or RuntimeError)."""
+    calls = []
+    real = lp_core.solve
+
+    def spy(problem):
+        try:
+            solution = real(problem)
+        except RuntimeError as exc:
+            calls.append((problem, exc))
+            raise
+        calls.append((problem, solution))
+        return solution
+
+    monkeypatch.setattr(lp_core, "solve", spy)
+    return calls
+
+
+@pytest.mark.parametrize("alpha", [0.0387, 0.04045])
+def test_cold_solves_near_f2_finish(alpha, monkeypatch):
+    # on the time-share base at these rates a cold solve once cycled
+    # through all 50,000 iterations (about 20 s of CPU per search)
+    calls = _spy_on_solve(monkeypatch)
+    r = optimal_policy(dataclasses.replace(_time_share_base(), alpha=alpha))
+    assert not any(isinstance(out, RuntimeError)
+                   and "iteration limit" in str(out) for _, out in calls)
+    assert r.status == "ok"
+    assert r.mu_s >= 0.1539937 - 1e-6
+
+
+_DROPPED = "solve produced an infeasible basis"
+
+
+@pytest.mark.parametrize("n_s, path", [
+    (10, [(24, 0), (24, 9), (26, 16), (27, 14), (28, 12), (29, 10), (30, 8),
+          _DROPPED]),
+    (20, [(44, 0), (44, 19), (46, 36), (47, 34), (48, 32), (49, 30), (50, 28),
+          _DROPPED]),
+], ids=["defaults", "n_s=20"])
+def test_cold_solves_keep_their_bland_pivot_path(defaults, n_s, path,
+                                                  monkeypatch):
+    # the (phase one, phase two) pivots of every cold solve, as they were
+    # when each pivot solved with a fresh LU factorization; the n_s = 20
+    # solves run past the refactor interval of the updated basis inverse
+    calls = _spy_on_solve(monkeypatch)
+    optimal_policy(dataclasses.replace(defaults, relay_queue_capacity=n_s))
+    assert [str(out).split(";")[0] if isinstance(out, RuntimeError)
+            else out.pivots for _, out in calls] == path
+    assert lp_core._REFACTOR < max(sum(p) for p in path[:-1])
+    for problem, out in calls[:-1]:
+        assert lp_core.verify(problem, out)["ok"]
 
 
 @pytest.mark.parametrize("n_s", [1, 2, 10, 20])
