@@ -13,8 +13,11 @@ external solver.
 ``solve`` always starts cold.  ``solve_family`` solves a sequence of
 problems that differ only in their equality rows: it carries the last
 optimal basis along and tests it on a whole block of members with
-stacked linear algebra, so only the members where that basis stops
-being optimal pay for a simplex solve.
+stacked linear algebra.  Where that basis stops being optimal it takes
+one dual or primal simplex pivot from it, and keeps the new basis when
+that basis is certified as the unique optimal one; only the first
+member and the members where that certificate fails pay for a cold
+two-phase solve.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ _PIVOT_TOL = 1e-9
 _COST_TOL = 1e-9
 _FEAS_TOL = 1e-8
 _REFACTOR = 32  # eta updates of the basis inverse between fresh inverses
+_MARGIN = 1e-7  # distance from degeneracy that certifies a one-pivot basis
 
 
 @dataclass(frozen=True)
@@ -95,12 +99,13 @@ class LpSolution:
     objective_value: Optional[float]
     # final (basic column per row, status per real or slack column),
     # which ``solve_family`` carries to the next member; None unless
-    # optimal with no artificial left in the basis
+    # optimal.  A leftover artificial, pinned at zero, may stay in it
     basis: Optional[Tuple[np.ndarray, np.ndarray]] = None
     # simplex steps (bound flips included) of (phase one, phase two);
     # phase one also counts the pivots that move leftover artificials
     # out, and a problem with no rows counts only bound flips.  (0, 0)
-    # for a family member solved by the carried basis
+    # for a family member solved by the carried basis, (0, 1) for one
+    # solved by the certified basis one pivot from it
     pivots: Tuple[int, int] = (0, 0)
 
 
@@ -135,38 +140,56 @@ def _simplex(a, b, cost, lo, up, basis, status, allowed, inverse):
         direction = sign[entering]
 
         column = binv @ a[:, entering]
-        # candidate steps: basic variables driven to a finite bound, plus
-        # the entering variable running to its own other bound
-        falls = column * direction > _PIVOT_TOL
-        room = np.where(falls, x_basic - lo[basis], up[basis] - x_basic)
-        size = np.abs(column)
-        steps = np.divide(np.maximum(room, 0.0), size,
-                          out=np.full(size.size, np.inf),
-                          where=size > _PIVOT_TOL)
-        span = up[entering] - lo[entering]
-        reach = min(steps.min(initial=np.inf), span) + 1e-12
-        if reach == np.inf:
+        block = _ratio_test(column, direction, x_basic, lo, up, basis,
+                            entering)
+        if block is None:
             return None, steps_taken, inverse  # nothing blocks: unbounded ray
-        # among (near-)blocking candidates pick the smallest variable
-        # index, again Bland
-        near = np.flatnonzero(steps <= reach)
-        if span <= reach and (near.size == 0
-                              or entering < basis[near].min()):
+        row, falls = block
+        if row is None:
             # entering variable runs to its other bound, basis unchanged
             status[entering] = _AT_UP if direction > 0 else _AT_LO
             xv[entering] = up[entering] if direction > 0 else lo[entering]
             sign[entering] = -direction
             continue
-        row = int(near[np.argmin(basis[near])])
         leaving = basis[row]
-        status[leaving] = _AT_LO if falls[row] else _AT_UP
-        xv[leaving] = lo[leaving] if falls[row] else up[leaving]
-        sign[leaving] = allowed[leaving] * (1.0 if falls[row] else -1.0)
+        status[leaving] = _AT_LO if falls else _AT_UP
+        xv[leaving] = lo[leaving] if falls else up[leaving]
+        sign[leaving] = allowed[leaving] * (1.0 if falls else -1.0)
         basis[row] = entering
         status[entering] = _BASIC
         xv[entering] = sign[entering] = 0.0
         inverse = _replace_column(a, basis, inverse, column, row)
     raise RuntimeError("simplex iteration limit hit; problem is ill posed")
+
+
+def _ratio_test(column, direction, x_basic, lo, up, basis, entering):
+    """Bland's ratio test for ``entering`` leaving its bound in ``direction``.
+
+    ``column`` is the basis inverse times the entering column.  Returns
+    (row, falls): the row whose basic variable leaves the basis and
+    whether it leaves at its lower bound, or (None, None) when the
+    entering variable reaches its own other bound first.  Returns None
+    when nothing blocks (an unbounded ray).
+    """
+    # candidate steps: basic variables driven to a finite bound, plus
+    # the entering variable running to its own other bound
+    falls = column * direction > _PIVOT_TOL
+    room = np.where(falls, x_basic - lo[basis], up[basis] - x_basic)
+    size = np.abs(column)
+    steps = np.divide(np.maximum(room, 0.0), size,
+                      out=np.full(size.size, np.inf),
+                      where=size > _PIVOT_TOL)
+    span = up[entering] - lo[entering]
+    reach = min(steps.min(initial=np.inf), span) + 1e-12
+    if reach == np.inf:
+        return None
+    # among (near-)blocking candidates pick the smallest variable index,
+    # again Bland
+    near = np.flatnonzero(steps <= reach)
+    if span <= reach and (near.size == 0 or entering < basis[near].min()):
+        return None, None
+    row = int(near[np.argmin(basis[near])])
+    return row, bool(falls[row])
 
 
 def _replace_column(a, basis, inverse, column, row):
@@ -315,12 +338,10 @@ def _phase_two(problem, a, b, cost, lo, up, basis, status, allowed, n_real,
     values = x[:n].copy()
     if max(_residuals(problem, values)) > 1e-6:
         return None
-    start = None
-    if np.all(basis < n_real):
-        start = (basis.copy(), status[:n_real].copy())
     return LpSolution(status="optimal", values=values,
                       objective_value=float(problem.objective @ values),
-                      basis=start, pivots=pivots)
+                      basis=(basis.copy(), status[:n_real].copy()),
+                      pivots=pivots)
 
 
 def solve_family(objective, eq_blocks, ineq_constraints=None, bounds=None):
@@ -334,11 +355,28 @@ def solve_family(objective, eq_blocks, ineq_constraints=None, bounds=None):
     The last optimal basis is carried along and tested on the rest of
     the block at once: a member where its basic values lie within
     bounds, no column may enter and the rows hold within 1e-6 is solved
-    by that basis, and gets its solution with ``pivots`` (0, 0).  The
-    first member that fails the test gets a cold ``solve``, whose basis,
-    when it has one, is carried on.  So along a family whose optimal
-    basis changes a few times, only those changes pay for a simplex
-    solve.  The caller's block size bounds the stacked arrays.
+    by that basis, and gets its solution with ``pivots`` (0, 0).  At the
+    first member that fails the test, one simplex pivot is taken from
+    the carried basis: a dual one when basic values left their bounds
+    and no column may enter, a primal one when a column may enter and
+    the basic values are within bounds.  The new basis solves the
+    member, with ``pivots`` (0, 1), when it passes the same test and is
+    strictly nondegenerate there: every basic value and every nonbasic
+    reduced cost of a real column lies at least ``_MARGIN`` from its
+    bound or from zero.  Such a basis is the unique optimal one: the
+    basic values strictly inside their bounds make the dual solution
+    unique, the reduced costs strictly of one sign make the optimal
+    point unique, and a point with as many values strictly inside their
+    bounds as there are rows has those columns for its only basis.  The
+    cold Bland solve therefore stops at the same basis, with the same
+    statuses; ``_MARGIN`` lies far above the simplex's 1e-8 and 1e-9
+    tolerances, so near-ties cannot tip it elsewhere.  Any other member
+    gets a cold ``solve``: the first one, one whose carried basis holds
+    an artificial or is singular there, and one where the pivot finds
+    no certified basis.  The cold solve's basis is carried on.  So along
+    a family whose optimal basis moves one column at a time, only the
+    first member pays for a two-phase solve.  The caller's block size
+    bounds the stacked arrays.
     """
     shared = LpProblem(objective, None, ineq_constraints, bounds)
     basis = None
@@ -351,6 +389,7 @@ def solve_family(objective, eq_blocks, ineq_constraints=None, bounds=None):
                 carried = _carried_solutions(shared, a_eq[k:], b_eq[k:], basis)
                 yield from carried
                 k += len(carried)
+                basis = carried[-1].basis if carried else basis
                 if k == b_eq.shape[0]:
                     break
             problem = LpProblem(shared.objective, (a_eq[k], b_eq[k]),
@@ -368,7 +407,24 @@ def solve_family(objective, eq_blocks, ineq_constraints=None, bounds=None):
 
 
 def _carried_solutions(shared, a_eq, b_eq, start):
-    """Solutions of the leading members that ``start`` solves unpivoted.
+    """Solutions of the leading members solved by ``start`` or its pivots.
+
+    ``start`` is tested on the whole stack (``_basis_run``).  Where the
+    test stops at a member, the basis one pivot away is tested from that
+    member on, and so on, until a member is solved by neither the basis
+    that reached it nor the pivot from that basis.
+    """
+    solutions, pivoted = [], False
+    while start is not None and len(solutions) < b_eq.shape[0]:
+        k = len(solutions)
+        run, start = _basis_run(shared, a_eq[k:], b_eq[k:], start, pivoted)
+        solutions += run
+        pivoted = True
+    return solutions
+
+
+def _basis_run(shared, a_eq, b_eq, start, pivoted):
+    """Solutions of the leading members that ``start`` solves, and a pivot.
 
     The test is the arithmetic of a phase two started from ``start``:
     the basic values lie within their bounds, the first iteration of
@@ -378,6 +434,14 @@ def _carried_solutions(shared, a_eq, b_eq, start):
     agrees bit for bit with the test of one member.  Where ``start`` is
     singular at some member of the stack, only the first member is
     tested, on its own, so the test stops at the singular member.
+
+    With ``pivoted``, ``start`` is one pivot from a basis that failed
+    the first member: that member must also pass the strict
+    nondegeneracy test of ``solve_family``, and reports ``pivots``
+    (0, 1).  The second value returned is the basis one pivot from
+    ``start`` at the member where the test stops (``_one_pivot``); it is
+    None where ``start`` is singular there, holds an artificial, or was
+    itself reached by a pivot at that member.
     """
     a_ub, b_ub = shared.ineq_constraints
     n = shared.n_vars
@@ -396,8 +460,8 @@ def _carried_solutions(shared, a_eq, b_eq, start):
                             np.broadcast_to(cost[rows], x_basic.shape)[..., None])
     except np.linalg.LinAlgError:
         if b.shape[0] == 1:
-            return []
-        return _carried_solutions(shared, a_eq[:1], b_eq[:1], start)
+            return [], None
+        return _basis_run(shared, a_eq[:1], b_eq[:1], start, pivoted)
     reduced = cost - (np.swapaxes(y, -1, -2) @ a)[:, 0, :]
     eligible = (status[:n_real] == _AT_LO) & (reduced[:, :n_real] < -_COST_TOL)
     eligible |= (status[:n_real] == _AT_UP) & (reduced[:, :n_real] > _COST_TOL)
@@ -414,11 +478,74 @@ def _carried_solutions(shared, a_eq, b_eq, start):
     ok = (np.all(x_basic >= lo[rows] - _FEAS_TOL, axis=1)
           & np.all(x_basic <= up[rows] + _FEAS_TOL, axis=1)
           & ~eligible.any(axis=1) & ~(residual > 1e-6))
+    if pivoted:
+        # reduced costs signed so that optimal is positive; basic at +inf
+        slack = np.where(real_status == _AT_UP, -1.0, 1.0) * reduced[0, :n_real]
+        slack[real_status == _BASIC] = np.inf
+        ok[0] &= (min(slack.min(), (x_basic[0] - lo[rows]).min(),
+                      (up[rows] - x_basic[0]).min()) >= _MARGIN)
     count = int(np.argmin(ok)) if not ok.all() else ok.size
-    return [LpSolution(status="optimal", values=values,
-                       objective_value=float(shared.objective @ values),
-                       basis=start, pivots=(0, 0))
-            for values in x[:count]]
+    solutions = [LpSolution(status="optimal", values=values,
+                            objective_value=float(shared.objective @ values),
+                            basis=start, pivots=(0, int(pivoted and k == 0)))
+                 for k, values in enumerate(x[:count])]
+    if count == ok.size or (pivoted and count == 0) or rows.max() >= n_real:
+        return solutions, None
+    return solutions, _one_pivot(a[count], lo, up, rows, real_status,
+                                 x_basic[count], reduced[count])
+
+
+def _one_pivot(a, lo, up, rows, real_status, x_basic, reduced):
+    """The basis one simplex pivot away from (rows, real_status), or None.
+
+    ``x_basic`` and ``reduced`` are the basic values and reduced costs
+    of that basis (no artificial among its rows) on the rows ``a``.
+    Where basic values left their bounds and no real column may enter,
+    a dual pivot: the smallest basic index out of bounds leaves, at the
+    bound it crossed, and the column with the smallest ratio of reduced
+    cost to pivot entry enters, ties to the smallest index.  Where a
+    column may enter and every basic value is within bounds, a primal
+    pivot with ``_simplex``'s own Bland choices.  None in every other
+    case, and where no column can enter.  Returns (rows, statuses of the
+    real columns), new arrays.
+    """
+    real = real_status.copy()
+    n_real = real.size
+    sign = np.where(real == _AT_LO, 1.0, -1.0) * (real != _BASIC)
+    eligible = sign * reduced[:n_real] < -_COST_TOL
+    below = x_basic < lo[rows] - _FEAS_TOL
+    out = below | (x_basic > up[rows] + _FEAS_TOL)
+    if eligible.any() == out.any():
+        return None
+    binv = np.linalg.inv(a[:, rows])
+    if eligible.any():
+        entering = int(np.argmax(eligible))
+        block = _ratio_test(binv @ a[:, entering], sign[entering], x_basic,
+                            lo, up, rows, entering)
+        if block is None:
+            return None
+        row, falls = block
+        if row is None:
+            real[entering] = _AT_UP if sign[entering] > 0 else _AT_LO
+            return rows.copy(), real
+    else:
+        row = int(np.flatnonzero(out)[np.argmin(rows[out])])
+        falls = bool(below[row])
+        # entries of the leaving row; a column enters when moving it off
+        # its bound pushes the leaving value back toward the bound crossed
+        alpha = binv[row] @ a[:, :n_real]
+        moves = sign * alpha * (1.0 if falls else -1.0) < -_PIVOT_TOL
+        if not moves.any():
+            return None
+        ratio = np.divide(np.maximum(sign * reduced[:n_real], 0.0),
+                          np.abs(alpha), out=np.full(n_real, np.inf),
+                          where=moves)
+        entering = int(np.argmax(ratio <= ratio.min() + 1e-12))
+    rows = rows.copy()
+    real[rows[row]] = _AT_LO if falls else _AT_UP
+    rows[row] = entering
+    real[entering] = _BASIC
+    return rows, real
 
 
 def _residuals(problem, x):

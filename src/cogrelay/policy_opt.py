@@ -7,11 +7,12 @@ keeps the best vertex whose policy re-evaluates to a feasible
 equilibrium at the LP's own score.  The grid's LPs share everything
 but two rate-dependent terms, so they are solved as one family: the
 last optimal basis is tested on a whole block of grid rates at once,
-and only the rates where it stops being optimal pay for a simplex
-solve.  The restricted searches use a
-single constant sharing probability (a scan of it up to its
-feasibility edge, refined there) or a threshold rule (enumeration up
-to the first infeasible threshold).
+and where it stops being optimal one certified simplex pivot moves it
+to the next basis, so a search usually pays for one or two cold
+solves.  The restricted searches use a single constant sharing
+probability (a scan of it up to its feasibility edge, refined there)
+or a threshold rule (enumeration up to the first infeasible
+threshold).
 """
 
 from __future__ import annotations
@@ -233,12 +234,15 @@ def optimal_policy(config: SystemConfig,
     differ only in their rate-dependent rows, which are built
     ``_BLOCK`` rates at a time, and are solved in ascending rate order
     by ``lp_core.solve_family``: the last optimal basis is tested on
-    the rest of the block at once, and only a point where it stops
-    being optimal pays for a cold simplex solve.  A point whose solve
-    is numerically degenerate is dropped as "unstable".  Each LP
-    vertex is converted back to sharing probabilities (p_n = a_n /
-    pi_n, with p_n = 0 where the level is unreachable) and
-    re-evaluated through the fixed point.  The LP only certifies that its target rate is one equilibrium of the
+    the rest of the block at once, a point where it stops being
+    optimal takes one simplex pivot from it when the new basis is
+    certified as the unique optimum there, and only the first point
+    and the points without that certificate pay for a cold simplex
+    solve.  A point whose solve is numerically degenerate is dropped
+    as "unstable".  Each LP vertex is converted back to sharing
+    probabilities (p_n = a_n / pi_n, with p_n = 0 where the level is
+    unreachable) and re-evaluated through the fixed point.  The LP
+    only certifies that its target rate is one equilibrium of the
     policy; the policy can have others below the floor, or settle
     elsewhere.  So candidates are tried in descending objective order
     (ties toward the smaller rate) and the first whose evaluation is

@@ -5,6 +5,7 @@ matrices, exhaustive enumeration, vectorized restatements) so that
 agreement with the package is evidence rather than tautology.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -580,30 +581,19 @@ def carried_basis_solution(problem, basis):
     stacked test to be checked against.
     """
     rows, real_status = basis
-    a_eq, b_eq = problem.eq_constraints
-    a_ub, b_ub = problem.ineq_constraints
-    a, b, lo, up, status, n_real = lp_core._standard_form(
-        a_eq, b_eq, a_ub, b_ub, problem.bounds)
-    status[:n_real] = real_status
-    up[n_real:] = 0.0  # artificials stay at zero
-    at_up = status == lp_core._AT_UP
-    xv = np.where(at_up, up, lo)
-    xv[rows] = 0.0
-    cost = np.zeros(up.size)
-    cost[:problem.n_vars] = -problem.objective
-    try:
-        x_basic = np.linalg.solve(a[:, rows], b - a @ xv)
-        y = np.linalg.solve(a[:, rows].T, cost[rows])
-    except np.linalg.LinAlgError:
+    state = _basis_state(problem, rows, real_status)
+    if state is None:
         return None
+    _, lo, up, x_basic, reduced, n_real = state
     if not (np.all(x_basic >= lo[rows] - 1e-8)
             and np.all(x_basic <= up[rows] + 1e-8)):
         return None
-    reduced = (cost - y @ a)[:n_real]
-    if np.any(((status[:n_real] == lp_core._AT_LO) & (reduced < -1e-9))
-              | (at_up[:n_real] & (reduced > 1e-9))):
+    at_up = real_status == lp_core._AT_UP
+    if np.any(((real_status == lp_core._AT_LO) & (reduced < -1e-9))
+              | (at_up & (reduced > 1e-9))):
         return None
-    x = np.where(at_up, up, lo)
+    x = lo.copy()
+    x[:n_real][at_up] = up[:n_real][at_up]
     x[~np.isfinite(x)] = 0.0
     x[rows] = x_basic
     values = x[:problem.n_vars].copy()
@@ -612,6 +602,126 @@ def carried_basis_solution(problem, basis):
     return lp_core.LpSolution(status="optimal", values=values,
                               objective_value=float(problem.objective @ values),
                               basis=basis)
+
+
+def one_pivot_solution(problem, basis, margin=1e-7):
+    """The solution that one pivot from ``basis`` gives ``problem``, or None.
+
+    ``basis`` is the ``LpSolution.basis`` of an earlier problem of the
+    same shape, which ``carried_basis_solution`` refused at ``problem``.
+    One problem at a time, textbook steps written out per row, for the
+    family solve's repair to be checked against:
+    - basic values out of bounds by more than 1e-8 and no column
+      eligible: a dual pivot.  The smallest basic index out of bounds
+      leaves at the bound it crossed; among the nonbasic real columns
+      whose move off their bound pushes it back, the one with the
+      smallest |reduced cost / pivot entry| enters, ties within 1e-12
+      to the smallest index;
+    - a column eligible and basic values in bounds: a primal pivot.  The
+      smallest eligible index enters; among the blocking steps within
+      1e-12 of the shortest, its own bound flip included, the smallest
+      variable index decides;
+    - anything else, or a basis holding an artificial: None.
+    The new basis counts only when ``carried_basis_solution`` accepts it
+    and every basic value and nonbasic real reduced cost lies at least
+    ``margin`` from its bound or from zero.  The solution then reports
+    ``pivots`` (0, 1).
+    """
+    rows, real_status = basis
+    state = _basis_state(problem, rows, real_status)
+    if state is None:
+        return None
+    a, lo, up, x_basic, reduced, n_real = state
+    if np.any(rows >= n_real):
+        return None
+    at_lo = real_status == lp_core._AT_LO
+    at_up = real_status == lp_core._AT_UP
+    enter = (at_lo & (reduced < -1e-9)) | (at_up & (reduced > 1e-9))
+    low = x_basic < lo[rows] - 1e-8
+    high = x_basic > up[rows] + 1e-8
+    new_rows, new_status = rows.copy(), real_status.copy()
+    if enter.any() and not (low | high).any():
+        q = int(np.flatnonzero(enter)[0])
+        step = 1.0 if at_lo[q] else -1.0
+        w = np.linalg.solve(a[:, rows], a[:, q])
+        blocks = [(up[q] - lo[q], q, None, None)]  # (step, index, row, bound)
+        for i, var in enumerate(rows):
+            rate = -step * w[i]  # change of basic value i per unit step
+            if rate < -1e-9:
+                blocks.append((max(x_basic[i] - lo[var], 0.0) / -rate,
+                               int(var), i, lp_core._AT_LO))
+            elif rate > 1e-9:
+                blocks.append((max(up[var] - x_basic[i], 0.0) / rate,
+                               int(var), i, lp_core._AT_UP))
+        shortest = min(b[0] for b in blocks)
+        if shortest == np.inf:
+            return None
+        _, _, i, bound = min((b for b in blocks if b[0] <= shortest + 1e-12),
+                             key=lambda b: b[1])
+        if i is None:
+            new_status[q] = lp_core._AT_UP if step > 0 else lp_core._AT_LO
+        else:
+            new_status[rows[i]] = bound
+            new_rows[i] = q
+            new_status[q] = lp_core._BASIC
+    elif (low | high).any() and not enter.any():
+        i = min(np.flatnonzero(low | high), key=lambda r: rows[r])
+        unit = np.zeros(rows.size)
+        unit[i] = 1.0
+        alpha = np.linalg.solve(a[:, rows].T, unit) @ a[:, :n_real]
+        ratios = {}
+        for j in range(n_real):
+            if real_status[j] == lp_core._BASIC:
+                continue
+            # basic value i moves by push per unit step of column j off
+            # its bound; a reduced cost a hair on the wrong side counts 0
+            direction = 1.0 if at_lo[j] else -1.0
+            push = -alpha[j] * direction
+            if (push > 1e-9) if low[i] else (push < -1e-9):
+                ratios[j] = max(direction * reduced[j], 0.0) / abs(alpha[j])
+        if not ratios:
+            return None
+        least = min(ratios.values())
+        q = min(j for j, r in ratios.items() if r <= least + 1e-12)
+        new_status[rows[i]] = lp_core._AT_LO if low[i] else lp_core._AT_UP
+        new_rows[i] = q
+        new_status[q] = lp_core._BASIC
+    else:
+        return None
+    new_basis = (new_rows, new_status)
+    solution = carried_basis_solution(problem, new_basis)
+    if solution is None:
+        return None
+    _, lo, up, x_basic, reduced, _ = _basis_state(problem, new_rows, new_status)
+    gaps = list(x_basic - lo[new_rows]) + list(up[new_rows] - x_basic)
+    gaps += [reduced[j] if new_status[j] == lp_core._AT_LO else -reduced[j]
+             for j in range(n_real) if new_status[j] != lp_core._BASIC]
+    if min(gaps) < margin:
+        return None
+    return dataclasses.replace(solution, pivots=(0, 1))
+
+
+def _basis_state(problem, rows, real_status):
+    """Rows, column bounds, basic values and real reduced costs of a basis.
+
+    None when the basis matrix is singular.
+    """
+    a_eq, b_eq = problem.eq_constraints
+    a_ub, b_ub = problem.ineq_constraints
+    a, b, lo, up, status, n_real = lp_core._standard_form(
+        a_eq, b_eq, a_ub, b_ub, problem.bounds)
+    status[:n_real] = real_status
+    up[n_real:] = 0.0
+    xv = np.where(status == lp_core._AT_UP, up, lo)
+    xv[rows] = 0.0
+    cost = np.zeros(up.size)
+    cost[:problem.n_vars] = -problem.objective
+    try:
+        x_basic = np.linalg.solve(a[:, rows], b - a @ xv)
+        y = np.linalg.solve(a[:, rows].T, cost[rows])
+    except np.linalg.LinAlgError:
+        return None
+    return a, lo, up, x_basic, (cost - y @ a)[:n_real], n_real
 
 
 def warm_started_lp_grid(config, budget=None):

@@ -7,7 +7,8 @@ import pytest
 from cogrelay import lp_core
 from cogrelay.lp_core import LpProblem
 
-from _oracles import brute_force_lp, carried_basis_solution
+from _oracles import (brute_force_lp, carried_basis_solution,
+                      one_pivot_solution)
 
 
 def box(n, lo=0.0, up=1.0):
@@ -236,11 +237,13 @@ def test_stacked_linear_algebra_matches_single_calls():
 
 
 def _sequential(problems):
-    # a member keeps the carried basis when that basis solves it, and
-    # otherwise gets a cold solve
+    # a member keeps the carried basis when that basis solves it, else
+    # takes the certified basis one pivot from it, and otherwise gets a
+    # cold solve
     out, basis = [], None
     for p in problems:
-        sol = None if basis is None else carried_basis_solution(p, basis)
+        sol = None if basis is None else (carried_basis_solution(p, basis)
+                                          or one_pivot_solution(p, basis))
         try:
             sol = sol or lp_core.solve(p)
         except RuntimeError as exc:
@@ -291,7 +294,10 @@ def test_family_matches_sequential_solves():
     problems[25] = dataclasses.replace(problems[25],
                                        eq_constraints=(a_eq, shifted))
     want = _sequential(problems)
-    assert want[17].status == "optimal" and want[17].basis is None
+    # member 17's optimal basis keeps an artificial, pinned at zero, in
+    # its basis (columns 0-5 real, 6-8 slack, 9-13 artificial); it is
+    # carried, but no pivot is taken from it
+    assert want[17].status == "optimal" and want[17].basis[0].max() >= 9
     assert want[25].status == "infeasible"
     # blocks of 16, 16 and 8 members: certified runs cross block edges
     got = _solve_in_blocks(problems, 16)
@@ -370,4 +376,51 @@ def test_family_retests_every_condition_of_a_warm_solve(slopes, rhs, seen):
     got = list(lp_core.solve_family((1.0, 1.0), blocks, bounds=box(2)))
     assert len(got) == len(sequential)
     for k, (g, w) in enumerate(zip(got, sequential)):
+        assert _same(g, w), k
+
+
+def _budget_family(objective, rhs):
+    # maximize objective @ x subject to sum(x) = r on the unit box, one
+    # member per right-hand side r
+    n = len(objective)
+    problems = [LpProblem(objective=objective,
+                          eq_constraints=(((1.0,) * n,), (r,)),
+                          ineq_constraints=no_rows(n), bounds=box(n))
+                for r in rhs]
+    return problems, _solve_in_blocks(problems, 16)
+
+
+def _basis_set(basis):
+    rows, real_status = basis
+    return sorted(rows.tolist()), real_status.tolist()
+
+
+def test_family_moves_the_basis_by_one_dual_pivot():
+    # the budget fills x1 first, then x2; once r passes 1 the carried
+    # basis {x1} holds x1 = r above its upper bound while no column may
+    # enter, and one dual pivot trades x1 (to its upper bound) for x2
+    problems, got = _budget_family((3.0, 2.0, 1.0), (0.5, 0.9, 1.3, 1.7))
+    assert [g.pivots for g in got[1:]] == [(0, 0), (0, 1), (0, 0)]
+    assert carried_basis_solution(problems[2], got[1].basis) is None
+    cold = lp_core.solve(problems[2])
+    assert sum(cold.pivots) > 1
+    assert _basis_set(got[2].basis) == _basis_set(cold.basis)
+    assert np.allclose(got[2].values, cold.values, rtol=0, atol=1e-12)
+    assert got[2].values == pytest.approx((1.0, 0.3, 0.0), abs=1e-15)
+    for k, (g, w) in enumerate(zip(got, _sequential(problems))):
+        assert _same(g, w), k
+
+
+def test_family_refuses_a_pivot_onto_a_tied_objective():
+    # every split of the budget scores the same, so the basis one dual
+    # pivot away has a zero reduced cost: it is optimal but not the
+    # unique optimum, and the member gets a cold solve instead
+    problems, got = _budget_family((1.0, 1.0, 1.0), (0.5, 0.9, 1.3, 1.7))
+    assert carried_basis_solution(problems[2], got[1].basis) is None
+    assert one_pivot_solution(problems[2], got[1].basis) is None
+    assert one_pivot_solution(problems[2], got[1].basis, margin=0.0)
+    assert got[2].pivots not in ((0, 0), (0, 1))
+    want = _sequential(problems)
+    assert len(got) == len(want)
+    for k, (g, w) in enumerate(zip(got, want)):
         assert _same(g, w), k

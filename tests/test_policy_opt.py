@@ -243,7 +243,17 @@ def test_family_search_matches_the_per_point_loop(defaults, case):
            "pu_infeasible": dataclasses.replace(defaults,
                                                 pu_arrival_rate=0.9)}[case]
     new, ref = optimal_policy(cfg), warm_started_lp_grid(cfg)
-    assert _search_key(new) == _search_key(ref)
+    assert (_search_key(dataclasses.replace(new, diagnostics=()))
+            == _search_key(dataclasses.replace(ref, diagnostics=())))
+    assert (repr([d._replace(objective=None) for d in new.diagnostics])
+            == repr([d._replace(objective=None) for d in ref.diagnostics]))
+    # a member the family solves one pivot from the carried basis takes
+    # its values from an LU solve, where the loop's cold solve takes them
+    # from the simplex's eta-updated inverse
+    for got, want in zip(new.diagnostics, ref.diagnostics):
+        assert (got.objective == want.objective
+                or abs(got.objective - want.objective)
+                <= 1e-12 * abs(want.objective)), got.mu_p
     if case == "F2":
         assert not any(d.status == "unstable" for d in new.diagnostics)
     if case == "defaults":
@@ -252,15 +262,70 @@ def test_family_search_matches_the_per_point_loop(defaults, case):
 
 
 def test_exact_search_solves_only_at_basis_changes(defaults, monkeypatch):
-    # the carried basis is tested on whole blocks of the grid; a solve
-    # per grid point would cost 200
+    # the carried basis is tested on whole blocks of the grid, and where
+    # it stops being optimal one certified pivot moves it on; a solve per
+    # grid point would cost 200, a solve per basis change 8
     calls = []
     real = lp_core.solve
     monkeypatch.setattr(lp_core, "solve",
                         lambda *a, **k: calls.append(a) or real(*a, **k))
     r = optimal_policy(defaults)
     assert r.status == "ok" and len(r.diagnostics) == 200
-    assert 1 <= len(calls) <= 20
+    assert 1 <= len(calls) <= 3
+
+
+@pytest.mark.parametrize("n_s", [10, 30])
+def test_full_time_share_takes_at_most_two_solves(n_s, monkeypatch):
+    # at alpha = 1 the window is only _PAD wide and the optimal basis
+    # keeps an artificial, pinned at zero; that basis is carried like
+    # any other, where every grid rate once took a cold solve
+    calls = _spy_on_solve(monkeypatch)
+    cfg = dataclasses.replace(_time_share_base(), alpha=1.0,
+                              relay_queue_capacity=n_s)
+    r = optimal_policy(cfg)
+    assert r.status == "ok" and len(r.diagnostics) == 200
+    assert 1 <= len(calls) <= 2
+
+
+def _basis_set(basis):
+    rows, real_status = basis
+    return sorted(rows.tolist()), real_status.tolist()
+
+
+def test_certified_pivots_match_cold_solves(monkeypatch):
+    # every member the family solves one pivot from the carried basis
+    # must get the very basis, as a set with its real-column statuses,
+    # that a cold solve of that member stops at
+    real = lp_core._basis_run
+    repairs = []
+
+    def spy(shared, a_eq, b_eq, start, pivoted):
+        run, moved = real(shared, a_eq, b_eq, start, pivoted)
+        if pivoted and run:
+            repairs.append((shared, a_eq[0], b_eq[0], run[0]))
+        return run, moved
+
+    monkeypatch.setattr(lp_core, "_basis_run", spy)
+    searches = 0
+    # without the margin the family certifies, at lambda_p = 0.14 of the
+    # arrival-rate sweep, a basis the cold solve does not stop at
+    for name in ("sweep_relay_buffer.spec", "sweep_time_share.spec",
+                 "sweep_arrival_rate.spec"):
+        spec, errors = load_spec(str(CONFIGS / name))
+        assert errors == []
+        for value in spec.sweep_values:
+            optimal_policy(apply_sweep_value(spec.base, spec.sweep_variable,
+                                             value))
+            searches += 1
+    # most basis changes are certified: about 4 per search
+    assert len(repairs) >= 3 * searches
+    for shared, a_eq, b_eq, repaired in repairs:
+        assert repaired.pivots == (0, 1)
+        cold = lp_core.solve(lp_core.LpProblem(
+            shared.objective, (a_eq, b_eq), shared.ineq_constraints,
+            shared.bounds))
+        assert _basis_set(repaired.basis) == _basis_set(cold.basis)
+        assert np.allclose(repaired.values, cold.values, rtol=0, atol=1e-12)
 
 
 def _spy_on_solve(monkeypatch):
@@ -296,19 +361,32 @@ def test_cold_solves_near_f2_finish(alpha, monkeypatch):
 _DROPPED = "solve produced an infeasible basis"
 
 
-@pytest.mark.parametrize("n_s, path", [
-    (10, [(24, 0), (24, 9), (26, 16), (27, 14), (28, 12), (29, 10), (30, 8),
-          _DROPPED]),
-    (20, [(44, 0), (44, 19), (46, 36), (47, 34), (48, 32), (49, 30), (50, 28),
-          _DROPPED]),
+@pytest.mark.parametrize("n_s, grid_points, path", [
+    (10, [0, 1, 130, 173, 189, 195, 198, 199],
+     [(24, 0), (24, 9), (26, 16), (27, 14), (28, 12), (29, 10), (30, 8),
+      _DROPPED]),
+    (20, [0, 1, 125, 171, 189, 195, 198, 199],
+     [(44, 0), (44, 19), (46, 36), (47, 34), (48, 32), (49, 30), (50, 28),
+      _DROPPED]),
 ], ids=["defaults", "n_s=20"])
-def test_cold_solves_keep_their_bland_pivot_path(defaults, n_s, path,
-                                                  monkeypatch):
-    # the (phase one, phase two) pivots of every cold solve, as they were
-    # when each pivot solved with a fresh LU factorization; the n_s = 20
-    # solves run past the refactor interval of the updated basis inverse
-    calls = _spy_on_solve(monkeypatch)
-    optimal_policy(dataclasses.replace(defaults, relay_queue_capacity=n_s))
+def test_cold_solves_keep_their_bland_pivot_path(defaults, n_s, grid_points,
+                                                  path):
+    # the (phase one, phase two) pivots of a cold solve at each grid rate
+    # where the search once solved cold, before the family took one pivot
+    # from the carried basis, as they were when each pivot solved with a
+    # fresh LU factorization; the n_s = 20 solves run past the refactor
+    # interval of the updated basis inverse
+    cfg = dataclasses.replace(defaults, relay_queue_capacity=n_s)
+    b = link_budget(cfg)
+    grid = np.linspace(*attainable_mu_p_range(cfg, b),
+                       policy_opt._GRID_POINTS)
+    calls = []
+    for k in grid_points:
+        problem = build_lp(cfg, b, float(grid[k]))
+        try:
+            calls.append((problem, lp_core.solve(problem)))
+        except RuntimeError as exc:
+            calls.append((problem, exc))
     assert [str(out).split(";")[0] if isinstance(out, RuntimeError)
             else out.pivots for _, out in calls] == path
     assert lp_core._REFACTOR < max(sum(p) for p in path[:-1])
