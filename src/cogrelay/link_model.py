@@ -88,14 +88,14 @@ def config_field_errors(values: dict) -> list:
                  "path_loss_exponent", "distance_pd", "distance_ps",
                  "distance_sd", "distance_sr", "gain_pd", "gain_ps",
                  "gain_sd", "gain_sr"):
-        if not values[name] > 0.0:
-            bad(name, f"must be positive, got {values[name]}")
+        if not 0.0 < values[name] < math.inf:
+            bad(name, f"must be positive and finite, got {values[name]}")
     for name in ("beta", "alpha", "pu_arrival_rate"):
         if not 0.0 <= values[name] <= 1.0:
             bad(name, f"must lie in [0, 1], got {values[name]}")
-    if values["bits_per_bandwidth"] < 0.0:
-        bad("bits_per_bandwidth",
-            f"must be nonnegative, got {values['bits_per_bandwidth']}")
+    if not 0.0 <= values["bits_per_bandwidth"] < math.inf:
+        bad("bits_per_bandwidth", "must be nonnegative and finite, got "
+            f"{values['bits_per_bandwidth']}")
     for name in ("pu_queue_capacity", "relay_queue_capacity"):
         v = values[name]
         if not (isinstance(v, int) and v >= 1):
@@ -125,6 +125,11 @@ class LinkBudget:
     theta_sr: float
     theta_sr_shared: float
 
+    @property
+    def capture(self) -> float:
+        """Probability that a primary packet misses D but reaches S."""
+        return self.theta_ps * (1.0 - self.theta_pd)
+
     def as_dict(self) -> dict:
         return {
             "theta_pd": self.theta_pd,
@@ -153,7 +158,8 @@ def success_probability(power: float, distance: float, gain: float,
     packet and yields 0.0, while a zero-length packet always succeeds
     and yields 1.0.  The exponent is evaluated with ``expm1`` so that
     small rate demands do not lose precision, and arguments past the
-    overflow point return exactly 0.0.
+    overflow point, or a mean SNR that underflows to zero, return
+    exactly 0.0.
     """
     if airtime <= 0.0:
         return 0.0
@@ -166,6 +172,8 @@ def success_probability(power: float, distance: float, gain: float,
         return 0.0
     snr_needed = math.expm1(x * math.log(2.0))
     mean_snr = power * (distance ** -path_loss_exponent) * gain / noise_power
+    if mean_snr == 0.0:
+        return 0.0
     return math.exp(-snr_needed / mean_snr)
 
 

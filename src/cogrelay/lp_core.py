@@ -14,10 +14,9 @@ external solver.
 problems that differ only in their equality rows: it carries the last
 optimal basis along and tests it on a whole block of members with
 stacked linear algebra.  Where that basis stops being optimal it takes
-one dual or primal simplex pivot from it, and keeps the new basis when
-that basis is certified as the unique optimal one; only the first
-member and the members where that certificate fails pay for a cold
-two-phase solve.
+one dual simplex pivot from it, and keeps the new basis when that basis
+is certified as the unique optimal one; only the first member and the
+members where that certificate fails pay for a cold two-phase solve.
 """
 
 from __future__ import annotations
@@ -261,8 +260,6 @@ def _solve(problem):
     m = a_eq.shape[0] + a_ub.shape[0]
     a, b, lo, up, status, n_real = _standard_form(a_eq, b_eq, a_ub, b_ub,
                                                   problem.bounds)
-    phase2_cost = _phase_two_cost(problem.objective, n_real + m)
-
     basis = np.arange(n_real, n_real + m)
     status[basis] = _BASIC
     allowed = np.ones(n_real + m, dtype=bool)
@@ -301,47 +298,32 @@ def _solve(problem):
     up[n_real:] = 0.0
     allowed[n_real:] = False
 
-    solution = _phase_two(problem, a, b, phase2_cost, lo, up, basis, status,
-                          allowed, n_real, phase_one, inverse)
+    x_basic, phase_two, _ = _simplex(
+        a, b, _phase_two_cost(problem.objective, n_real + m), lo, up, basis,
+        status, allowed, inverse)
+    pivots = (phase_one, phase_two)
+    if x_basic is None:
+        return LpSolution(status="unbounded", values=None, objective_value=None,
+                          pivots=pivots)
+    x = np.where(status == _AT_UP, up, lo)
+    x[~np.isfinite(x)] = 0.0
+    x[basis] = x_basic
+    values = x[:problem.n_vars].copy()
     # a degenerate basis must fail loudly rather than masquerade as an
     # optimal vertex
-    if solution is None:
+    if max(_residuals(problem, values)) > 1e-6:
         raise RuntimeError("solve produced an infeasible basis; "
                            "problem is numerically degenerate")
-    return solution
+    return LpSolution(status="optimal", values=values,
+                      objective_value=float(problem.objective @ values),
+                      basis=(basis.copy(), status[:n_real].copy()),
+                      pivots=pivots)
 
 
 def _phase_two_cost(objective, width):
     cost = np.zeros(width)
     cost[:objective.size] = -objective  # maximize via negated minimize
     return cost
-
-
-def _phase_two(problem, a, b, cost, lo, up, basis, status, allowed, n_real,
-               phase_one, inverse):
-    """Phase two from a primal-feasible basis.
-
-    Returns the solution ("optimal" or "unbounded"), or None when the
-    optimal basis violates the constraints by more than 1e-6.
-    """
-    n = problem.n_vars
-    x_basic, phase_two, _ = _simplex(a, b, cost, lo, up, basis, status,
-                                     allowed, inverse)
-    pivots = (phase_one, phase_two)
-    if x_basic is None:
-        return LpSolution(status="unbounded", values=None, objective_value=None,
-                          pivots=pivots)
-
-    x = np.where(status == _AT_UP, up, lo)
-    x[~np.isfinite(x)] = 0.0
-    x[basis] = x_basic
-    values = x[:n].copy()
-    if max(_residuals(problem, values)) > 1e-6:
-        return None
-    return LpSolution(status="optimal", values=values,
-                      objective_value=float(problem.objective @ values),
-                      basis=(basis.copy(), status[:n_real].copy()),
-                      pivots=pivots)
 
 
 def solve_family(objective, eq_blocks, ineq_constraints=None, bounds=None):
@@ -352,46 +334,49 @@ def solve_family(objective, eq_blocks, ineq_constraints=None, bounds=None):
     rows and bounds are shared, as in ``LpProblem``.  Yields one entry
     per member: its solution, or the RuntimeError its ``solve`` raised.
 
-    The last optimal basis is carried along and tested on the rest of
-    the block at once: a member where its basic values lie within
+    One loop over each block's members tries three things in order.
+    First, the last optimal basis is tested on the rest of the block at
+    once (``_basis_run``): a member where its basic values lie within
     bounds, no column may enter and the rows hold within 1e-6 is solved
     by that basis, and gets its solution with ``pivots`` (0, 0).  At the
-    first member that fails the test, one simplex pivot is taken from
-    the carried basis: a dual one when basic values left their bounds
-    and no column may enter, a primal one when a column may enter and
-    the basic values are within bounds.  The new basis solves the
-    member, with ``pivots`` (0, 1), when it passes the same test and is
-    strictly nondegenerate there: every basic value and every nonbasic
-    reduced cost of a real column lies at least ``_MARGIN`` from its
-    bound or from zero.  Such a basis is the unique optimal one: the
-    basic values strictly inside their bounds make the dual solution
-    unique, the reduced costs strictly of one sign make the optimal
-    point unique, and a point with as many values strictly inside their
-    bounds as there are rows has those columns for its only basis.  The
-    cold Bland solve therefore stops at the same basis, with the same
-    statuses; ``_MARGIN`` lies far above the simplex's 1e-8 and 1e-9
-    tolerances, so near-ties cannot tip it elsewhere.  Any other member
-    gets a cold ``solve``: the first one, one whose carried basis holds
-    an artificial or is singular there, and one where the pivot finds
-    no certified basis.  The cold solve's basis is carried on.  So along
-    a family whose optimal basis moves one column at a time, only the
-    first member pays for a two-phase solve.  The caller's block size
-    bounds the stacked arrays.
+    first member that fails the test, where basic values left their
+    bounds and no column may enter, one dual simplex pivot is taken from
+    that basis (``_one_pivot``).  The new basis solves the member, with
+    ``pivots`` (0, 1), when it passes the same test and is strictly
+    nondegenerate there: every basic value and every nonbasic reduced
+    cost of a real column lies at least ``_MARGIN`` from its bound or
+    from zero; it is then tested on the members after it in turn.  Such
+    a basis is the unique optimal one: the basic values strictly inside
+    their bounds make the dual solution unique, the reduced costs
+    strictly of one sign make the optimal point unique, and a point with
+    as many values strictly inside their bounds as there are rows has
+    those columns for its only basis.  The cold Bland solve therefore
+    stops at the same basis, with the same statuses; ``_MARGIN`` lies
+    far above the simplex's 1e-8 and 1e-9 tolerances, so near-ties
+    cannot tip it elsewhere.  Any other member gets a cold ``solve``:
+    the first one, one whose basis holds an artificial or is singular
+    there, one where a column may enter, and one where the pivot finds
+    no certified basis.  The basis of the last member solved, cold or
+    not, is carried on.  So along a family whose optimal basis moves one
+    column at a time, only the first member pays for a two-phase solve.
+    The caller's block size bounds the stacked arrays.
     """
     shared = LpProblem(objective, None, ineq_constraints, bounds)
     basis = None
     for a_eq, b_eq in eq_blocks:
         a_eq = np.asarray(a_eq, dtype=float)
         b_eq = np.asarray(b_eq, dtype=float)
-        k = 0
+        k, start, pivoted = 0, basis, False
         while k < b_eq.shape[0]:
-            if basis is not None:
-                carried = _carried_solutions(shared, a_eq[k:], b_eq[k:], basis)
-                yield from carried
-                k += len(carried)
-                basis = carried[-1].basis if carried else basis
-                if k == b_eq.shape[0]:
-                    break
+            if start is not None:
+                # the carried basis, then each certified pivot from it
+                run, start = _basis_run(shared, a_eq[k:], b_eq[k:], start,
+                                        pivoted)
+                yield from run
+                k += len(run)
+                basis = run[-1].basis if run else basis
+                pivoted = True
+                continue
             problem = LpProblem(shared.objective, (a_eq[k], b_eq[k]),
                                 shared.ineq_constraints, shared.bounds)
             try:
@@ -404,23 +389,7 @@ def solve_family(objective, eq_blocks, ineq_constraints=None, bounds=None):
                 yield solution
                 basis = solution.basis if solution.basis is not None else basis
             k += 1
-
-
-def _carried_solutions(shared, a_eq, b_eq, start):
-    """Solutions of the leading members solved by ``start`` or its pivots.
-
-    ``start`` is tested on the whole stack (``_basis_run``).  Where the
-    test stops at a member, the basis one pivot away is tested from that
-    member on, and so on, until a member is solved by neither the basis
-    that reached it nor the pivot from that basis.
-    """
-    solutions, pivoted = [], False
-    while start is not None and len(solutions) < b_eq.shape[0]:
-        k = len(solutions)
-        run, start = _basis_run(shared, a_eq[k:], b_eq[k:], start, pivoted)
-        solutions += run
-        pivoted = True
-    return solutions
+            start, pivoted = basis, False
 
 
 def _basis_run(shared, a_eq, b_eq, start, pivoted):
@@ -428,17 +397,17 @@ def _basis_run(shared, a_eq, b_eq, start, pivoted):
 
     The test is the arithmetic of a phase two started from ``start``:
     the basic values lie within their bounds, the first iteration of
-    ``_simplex`` finds no eligible column, and ``_phase_two``'s residual
+    ``_simplex`` finds no eligible column, and the cold solve's residual
     test passes.  Stacked ``np.linalg.solve`` and matmul run the same
     LAPACK and BLAS calls per member as the single ones, so every number
     agrees bit for bit with the test of one member.  Where ``start`` is
-    singular at some member of the stack, only the first member is
-    tested, on its own, so the test stops at the singular member.
+    singular at some member of the stack, the members are tested one at
+    a time, so the test stops at the singular member.
 
     With ``pivoted``, ``start`` is one pivot from a basis that failed
     the first member: that member must also pass the strict
     nondegeneracy test of ``solve_family``, and reports ``pivots``
-    (0, 1).  The second value returned is the basis one pivot from
+    (0, 1).  The second value returned is the basis one dual pivot from
     ``start`` at the member where the test stops (``_one_pivot``); it is
     None where ``start`` is singular there, holds an artificial, or was
     itself reached by a pivot at that member.
@@ -461,7 +430,14 @@ def _basis_run(shared, a_eq, b_eq, start, pivoted):
     except np.linalg.LinAlgError:
         if b.shape[0] == 1:
             return [], None
-        return _basis_run(shared, a_eq[:1], b_eq[:1], start, pivoted)
+        solutions = []
+        for k in range(b.shape[0]):
+            run, moved = _basis_run(shared, a_eq[k:k + 1], b_eq[k:k + 1],
+                                    start, pivoted and k == 0)
+            solutions += run
+            if not run:
+                break
+        return solutions, moved
     reduced = cost - (np.swapaxes(y, -1, -2) @ a)[:, 0, :]
     eligible = (status[:n_real] == _AT_LO) & (reduced[:, :n_real] < -_COST_TOL)
     eligible |= (status[:n_real] == _AT_UP) & (reduced[:, :n_real] > _COST_TOL)
@@ -496,52 +472,38 @@ def _basis_run(shared, a_eq, b_eq, start, pivoted):
 
 
 def _one_pivot(a, lo, up, rows, real_status, x_basic, reduced):
-    """The basis one simplex pivot away from (rows, real_status), or None.
+    """The basis one dual simplex pivot away from (rows, real_status), or None.
 
     ``x_basic`` and ``reduced`` are the basic values and reduced costs
     of that basis (no artificial among its rows) on the rows ``a``.
-    Where basic values left their bounds and no real column may enter,
-    a dual pivot: the smallest basic index out of bounds leaves, at the
-    bound it crossed, and the column with the smallest ratio of reduced
-    cost to pivot entry enters, ties to the smallest index.  Where a
-    column may enter and every basic value is within bounds, a primal
-    pivot with ``_simplex``'s own Bland choices.  None in every other
-    case, and where no column can enter.  Returns (rows, statuses of the
-    real columns), new arrays.
+    The pivot is the textbook dual simplex step (Bertsimas & Tsitsiklis
+    1997, ch. 4), taken where basic values left their bounds and no real
+    column may enter: the smallest basic index out of bounds leaves, at
+    the bound it crossed, and the column with the smallest ratio of
+    reduced cost to pivot entry enters, ties to the smallest index.
+    None where a column may enter, where every basic value is within
+    bounds, and where no column can enter.  Returns (rows, statuses of
+    the real columns), new arrays.
     """
-    real = real_status.copy()
-    n_real = real.size
-    sign = np.where(real == _AT_LO, 1.0, -1.0) * (real != _BASIC)
-    eligible = sign * reduced[:n_real] < -_COST_TOL
+    n_real = real_status.size
+    sign = np.where(real_status == _AT_LO, 1.0, -1.0) * (real_status != _BASIC)
     below = x_basic < lo[rows] - _FEAS_TOL
     out = below | (x_basic > up[rows] + _FEAS_TOL)
-    if eligible.any() == out.any():
+    if (sign * reduced[:n_real] < -_COST_TOL).any() or not out.any():
         return None
-    binv = np.linalg.inv(a[:, rows])
-    if eligible.any():
-        entering = int(np.argmax(eligible))
-        block = _ratio_test(binv @ a[:, entering], sign[entering], x_basic,
-                            lo, up, rows, entering)
-        if block is None:
-            return None
-        row, falls = block
-        if row is None:
-            real[entering] = _AT_UP if sign[entering] > 0 else _AT_LO
-            return rows.copy(), real
-    else:
-        row = int(np.flatnonzero(out)[np.argmin(rows[out])])
-        falls = bool(below[row])
-        # entries of the leaving row; a column enters when moving it off
-        # its bound pushes the leaving value back toward the bound crossed
-        alpha = binv[row] @ a[:, :n_real]
-        moves = sign * alpha * (1.0 if falls else -1.0) < -_PIVOT_TOL
-        if not moves.any():
-            return None
-        ratio = np.divide(np.maximum(sign * reduced[:n_real], 0.0),
-                          np.abs(alpha), out=np.full(n_real, np.inf),
-                          where=moves)
-        entering = int(np.argmax(ratio <= ratio.min() + 1e-12))
-    rows = rows.copy()
+    row = int(np.flatnonzero(out)[np.argmin(rows[out])])
+    falls = bool(below[row])
+    # entries of the leaving row; a column enters when moving it off its
+    # bound pushes the leaving value back toward the bound crossed
+    alpha = np.linalg.inv(a[:, rows])[row] @ a[:, :n_real]
+    moves = sign * alpha * (1.0 if falls else -1.0) < -_PIVOT_TOL
+    if not moves.any():
+        return None
+    ratio = np.divide(np.maximum(sign * reduced[:n_real], 0.0),
+                      np.abs(alpha), out=np.full(n_real, np.inf),
+                      where=moves)
+    entering = int(np.argmax(ratio <= ratio.min() + 1e-12))
+    rows, real = rows.copy(), real_status.copy()
     real[rows[row]] = _AT_LO if falls else _AT_UP
     rows[row] = entering
     real[entering] = _BASIC

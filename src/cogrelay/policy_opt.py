@@ -7,9 +7,9 @@ keeps the best vertex whose policy re-evaluates to a feasible
 equilibrium at the LP's own score.  The grid's LPs share everything
 but two rate-dependent terms, so they are solved as one family: the
 last optimal basis is tested on a whole block of grid rates at once,
-and where it stops being optimal one certified simplex pivot moves it
-to the next basis, so a search usually pays for one or two cold
-solves.  The restricted searches use a single constant sharing
+and where it stops being optimal one certified dual simplex pivot
+moves it to the next basis, so a search usually pays for one or two
+cold solves.  The restricted searches use a single constant sharing
 probability (a scan of it up to its feasibility edge, refined there)
 or a threshold rule (enumeration up to the first infeasible
 threshold).
@@ -106,7 +106,7 @@ def feasible_mu_p_range(config: SystemConfig,
                                config.loss_threshold)
     if floor is None:
         return None
-    capture = b.theta_ps * (1.0 - b.theta_pd)
+    capture = b.capture
     lo = max(floor, b.theta_pd + capture * b.theta_sd_shared)
     hi = b.theta_pd + capture
     if lo > hi:
@@ -142,8 +142,8 @@ def attainable_mu_p_range(config: SystemConfig,
     if rng is None:
         return None
     n_s = config.relay_queue_capacity
-    always = evaluate_policy(config, AccessPolicy((1.0,) * (n_s + 1)), budget=b)
-    never = evaluate_policy(config, AccessPolicy((1.0,) + (0.0,) * n_s), budget=b)
+    always = evaluate_policy(config, _uniform_policy(1.0, n_s), budget=b)
+    never = evaluate_policy(config, _step_policy(0, n_s), budget=b)
     lo = max(rng[0], always.mu_p - _PAD)
     hi = min(rng[1], never.mu_p + _PAD)
     if lo > hi:
@@ -194,7 +194,7 @@ def _pinned_rate_rows(config, budget, mu):
     n_s = config.relay_queue_capacity
     m = n_s + 1
     b = budget
-    capture = b.theta_ps * (1.0 - b.theta_pd)
+    capture = b.capture
     if capture <= 0.0:
         raise ValueError("mu_p: no relay path exists (capture probability is 0)")
     mu = np.asarray(mu, dtype=float)
@@ -235,7 +235,7 @@ def optimal_policy(config: SystemConfig,
     ``_BLOCK`` rates at a time, and are solved in ascending rate order
     by ``lp_core.solve_family``: the last optimal basis is tested on
     the rest of the block at once, a point where it stops being
-    optimal takes one simplex pivot from it when the new basis is
+    optimal takes one dual simplex pivot from it when the new basis is
     certified as the unique optimum there, and only the first point
     and the points without that certificate pay for a cold simplex
     solve.  A point whose solve is numerically degenerate is dropped
@@ -258,7 +258,7 @@ def optimal_policy(config: SystemConfig,
     window = attainable_mu_p_range(config, b)
     if window is None:
         return _infeasible("lp")
-    if b.theta_ps * (1.0 - b.theta_pd) <= 0.0:
+    if b.capture <= 0.0:
         policy = _step_policy(0, config.relay_queue_capacity)
         evaluation = evaluate_policy(config, policy, budget=b)
         if not evaluation.feasible:

@@ -285,7 +285,7 @@ def pu_departure_from_relay(budget: LinkBudget, relay: RelaySteadyState) -> floa
     packet.
     """
     direct = budget.theta_pd
-    capture = budget.theta_ps * (1.0 - budget.theta_pd)
+    capture = budget.capture
     pi_full = relay.occupancy[-1]
     r_full = relay.departure_probs[-1]
     return direct + capture * (1.0 - pi_full * (1.0 - r_full))
@@ -364,7 +364,7 @@ def _implied_rates(mu, lam, n_p, budget, r, implied_rate):
     probability of 0 or 1 meeting q in {0, 1}), the entry is
     recomputed by the scalar map, which owns those conventions.
     """
-    capture = budget.theta_ps * (1.0 - budget.theta_pd)
+    capture = budget.capture
     rr = np.asarray(r)
     below = np.concatenate(([0.0], rr[:-1]))
     with np.errstate(all="ignore"):
@@ -399,7 +399,7 @@ def _equilibria(lam, n_p, budget, r, floor, implied_rate):
     middle itself when g(mid) = 0.
     """
     lo = budget.theta_pd
-    hi = lo + budget.theta_ps * (1.0 - budget.theta_pd)
+    hi = lo + budget.capture
     if hi <= lo:
         return (lo,), lo
     grid = lo + (hi - lo) * _SCAN_UNIT
@@ -463,7 +463,7 @@ def evaluate_policy(config: SystemConfig, policy: AccessPolicy,
     lam = config.pu_arrival_rate
     n_p = config.pu_queue_capacity
     r = relay_departure_probs(policy, b)
-    capture = b.theta_ps * (1.0 - b.theta_pd)
+    capture = b.capture
 
     def relay_at(mu):
         q = pu_busy_probability(lam, mu, n_p) * capture

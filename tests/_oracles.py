@@ -617,10 +617,6 @@ def one_pivot_solution(problem, basis, margin=1e-7):
       whose move off their bound pushes it back, the one with the
       smallest |reduced cost / pivot entry| enters, ties within 1e-12
       to the smallest index;
-    - a column eligible and basic values in bounds: a primal pivot.  The
-      smallest eligible index enters; among the blocking steps within
-      1e-12 of the shortest, its own bound flip included, the smallest
-      variable index decides;
     - anything else, or a basis holding an artificial: None.
     The new basis counts only when ``carried_basis_solution`` accepts it
     and every basic value and nonbasic real reduced cost lies at least
@@ -639,55 +635,30 @@ def one_pivot_solution(problem, basis, margin=1e-7):
     enter = (at_lo & (reduced < -1e-9)) | (at_up & (reduced > 1e-9))
     low = x_basic < lo[rows] - 1e-8
     high = x_basic > up[rows] + 1e-8
-    new_rows, new_status = rows.copy(), real_status.copy()
-    if enter.any() and not (low | high).any():
-        q = int(np.flatnonzero(enter)[0])
-        step = 1.0 if at_lo[q] else -1.0
-        w = np.linalg.solve(a[:, rows], a[:, q])
-        blocks = [(up[q] - lo[q], q, None, None)]  # (step, index, row, bound)
-        for i, var in enumerate(rows):
-            rate = -step * w[i]  # change of basic value i per unit step
-            if rate < -1e-9:
-                blocks.append((max(x_basic[i] - lo[var], 0.0) / -rate,
-                               int(var), i, lp_core._AT_LO))
-            elif rate > 1e-9:
-                blocks.append((max(up[var] - x_basic[i], 0.0) / rate,
-                               int(var), i, lp_core._AT_UP))
-        shortest = min(b[0] for b in blocks)
-        if shortest == np.inf:
-            return None
-        _, _, i, bound = min((b for b in blocks if b[0] <= shortest + 1e-12),
-                             key=lambda b: b[1])
-        if i is None:
-            new_status[q] = lp_core._AT_UP if step > 0 else lp_core._AT_LO
-        else:
-            new_status[rows[i]] = bound
-            new_rows[i] = q
-            new_status[q] = lp_core._BASIC
-    elif (low | high).any() and not enter.any():
-        i = min(np.flatnonzero(low | high), key=lambda r: rows[r])
-        unit = np.zeros(rows.size)
-        unit[i] = 1.0
-        alpha = np.linalg.solve(a[:, rows].T, unit) @ a[:, :n_real]
-        ratios = {}
-        for j in range(n_real):
-            if real_status[j] == lp_core._BASIC:
-                continue
-            # basic value i moves by push per unit step of column j off
-            # its bound; a reduced cost a hair on the wrong side counts 0
-            direction = 1.0 if at_lo[j] else -1.0
-            push = -alpha[j] * direction
-            if (push > 1e-9) if low[i] else (push < -1e-9):
-                ratios[j] = max(direction * reduced[j], 0.0) / abs(alpha[j])
-        if not ratios:
-            return None
-        least = min(ratios.values())
-        q = min(j for j, r in ratios.items() if r <= least + 1e-12)
-        new_status[rows[i]] = lp_core._AT_LO if low[i] else lp_core._AT_UP
-        new_rows[i] = q
-        new_status[q] = lp_core._BASIC
-    else:
+    if enter.any() or not (low | high).any():
         return None
+    i = min(np.flatnonzero(low | high), key=lambda r: rows[r])
+    unit = np.zeros(rows.size)
+    unit[i] = 1.0
+    alpha = np.linalg.solve(a[:, rows].T, unit) @ a[:, :n_real]
+    ratios = {}
+    for j in range(n_real):
+        if real_status[j] == lp_core._BASIC:
+            continue
+        # basic value i moves by push per unit step of column j off
+        # its bound; a reduced cost a hair on the wrong side counts 0
+        direction = 1.0 if at_lo[j] else -1.0
+        push = -alpha[j] * direction
+        if (push > 1e-9) if low[i] else (push < -1e-9):
+            ratios[j] = max(direction * reduced[j], 0.0) / abs(alpha[j])
+    if not ratios:
+        return None
+    least = min(ratios.values())
+    q = min(j for j, r in ratios.items() if r <= least + 1e-12)
+    new_rows, new_status = rows.copy(), real_status.copy()
+    new_status[rows[i]] = lp_core._AT_LO if low[i] else lp_core._AT_UP
+    new_rows[i] = q
+    new_status[q] = lp_core._BASIC
     new_basis = (new_rows, new_status)
     solution = carried_basis_solution(problem, new_basis)
     if solution is None:

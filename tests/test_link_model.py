@@ -105,6 +105,8 @@ def test_defaults_construct():
     ("loss_threshold", 0.0, "loss_threshold"),
     ("loss_threshold", 1.0, "loss_threshold"),
     ("bits_per_bandwidth", -1e-3, "bits_per_bandwidth"),
+    ("noise_power", math.inf, "noise_power"),
+    ("distance_pd", math.inf, "distance_pd"),
 ])
 def test_invalid_field_raises_by_name(field, value, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -149,3 +151,12 @@ def test_success_probability_is_finite_everywhere():
     for scale in (1e-12, 1e-6, 1.0, 1e6):
         v = success_probability(0.1, 100.0, 0.1, 0.05 * scale, 3e-3, 1e-5, 2.0)
         assert math.isfinite(v) and 0.0 <= v <= 1.0
+    # a mean SNR that underflows to zero: a huge distance, a subnormal
+    # gain, a huge path-loss exponent, an infinite noise power
+    for distance, gain, noise, exponent in ((1e200, 0.1, 1e-5, 2.0),
+                                            (200.0, 1e-320, 1e-5, 2.0),
+                                            (200.0, 0.1, 1e-5, 400.0),
+                                            (200.0, 0.1, math.inf, 2.0)):
+        v = success_probability(0.1, distance, gain, 0.05, 3e-3, noise,
+                                exponent)
+        assert v == 0.0

@@ -279,7 +279,8 @@ def _same(got, want):
             and got.pivots == want.pivots)
 
 
-def test_family_matches_sequential_solves():
+@pytest.mark.parametrize("size", [1, 3, 5, 16, 20, 40])
+def test_family_matches_sequential_solves(size):
     problems = list(_shifted_family(11, 40))
     a_eq, b_eq = problems[0].eq_constraints
     # member 17 has a zero equality row, which makes the carried basis
@@ -299,8 +300,9 @@ def test_family_matches_sequential_solves():
     # carried, but no pivot is taken from it
     assert want[17].status == "optimal" and want[17].basis[0].max() >= 9
     assert want[25].status == "infeasible"
-    # blocks of 16, 16 and 8 members: certified runs cross block edges
-    got = _solve_in_blocks(problems, 16)
+    # certified runs cross block edges, and a stack that holds member 17
+    # is tested one member at a time up to it, whatever the block size
+    got = _solve_in_blocks(problems, size)
     assert len(got) == len(want)
     for k, (g, w) in enumerate(zip(got, want)):
         assert _same(g, w), k
@@ -341,8 +343,8 @@ def test_family_reports_a_degenerate_member(monkeypatch):
     # the carried basis solves nothing, so every member is solved; the
     # bases it is tested with are recorded
     tested = []
-    monkeypatch.setattr(lp_core, "_carried_solutions",
-                        lambda *a: tested.append(a[-1]) or [])
+    monkeypatch.setattr(lp_core, "_basis_run",
+                        lambda *a: tested.append(a[-2]) or ([], None))
     got = list(lp_core.solve_family(p0.objective, [(a_eq, b_eq)],
                                     p0.ineq_constraints, p0.bounds))
     assert isinstance(got[1], RuntimeError)
@@ -354,7 +356,9 @@ def test_family_reports_a_degenerate_member(monkeypatch):
 
 @pytest.mark.parametrize("slopes, rhs, seen", [
     # the basis {x1} stays feasible all along but stops being optimal
-    # once t < 1, where x2 buys more objective per unit of the row
+    # once t < 1, where x2 buys more objective per unit of the row; a
+    # column may enter there, which takes no dual pivot, so that member
+    # gets a cold solve
     (np.linspace(1.5, 0.6, 10), np.full(10, 0.5),
      lambda s: s.pivots != (0, 0)),
     # x1 = -5e-7 is out of bounds by more than the carried basis allows
