@@ -368,7 +368,7 @@ def run_single(config: SystemConfig, method: Optional[str] = None,
         if result.status != "ok":
             lines += [f"status = {result.status}", "mu_s = 0"]
             return "\n".join(lines) + "\n"
-        policy = result.policy
+        policy, ev = result.policy, result.evaluation
         if method == "st":
             threshold = sum(1 for p in policy.probs[1:] if p == 1.0)
             lines.append(f"threshold = {threshold}")
@@ -379,8 +379,7 @@ def run_single(config: SystemConfig, method: Optional[str] = None,
             lines.append(f"lp_objective = {_fmt(result.objective)}")
     else:
         lines.append("policy = " + ",".join(_fmt(p) for p in policy.probs))
-
-    ev = evaluate_policy(config, policy)
+        ev = evaluate_policy(config, policy)
     floor = min_departure_rate(config.pu_arrival_rate,
                                config.pu_queue_capacity,
                                config.loss_threshold)

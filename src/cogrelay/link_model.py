@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 __all__ = [
     "SystemConfig",
@@ -159,7 +160,7 @@ def success_probability(power: float, distance: float, gain: float,
     and yields 1.0.  The exponent is evaluated with ``expm1`` so that
     small rate demands do not lose precision, and arguments past the
     overflow point, or a mean SNR that underflows to zero, return
-    exactly 0.0.
+    exactly 0.0; a mean SNR that overflows is infinite and yields 1.0.
     """
     if airtime <= 0.0:
         return 0.0
@@ -171,12 +172,17 @@ def success_probability(power: float, distance: float, gain: float,
     if x * math.log(2.0) > 700.0:
         return 0.0
     snr_needed = math.expm1(x * math.log(2.0))
-    mean_snr = power * (distance ** -path_loss_exponent) * gain / noise_power
+    try:
+        attenuation = distance ** -path_loss_exponent
+    except OverflowError:
+        return 1.0
+    mean_snr = power * attenuation * gain / noise_power
     if mean_snr == 0.0:
         return 0.0
     return math.exp(-snr_needed / mean_snr)
 
 
+@lru_cache(maxsize=16384)
 def link_budget(config: SystemConfig) -> LinkBudget:
     """Evaluate all six success probabilities for one configuration.
 
@@ -185,7 +191,8 @@ def link_budget(config: SystemConfig) -> LinkBudget:
     shared variants only get ``alpha`` (relay) or ``1 - alpha`` (own
     traffic) of it.  Degenerate phase splits simply produce zeros for
     the transmissions they starve, so callers never special-case
-    ``beta`` in {0, 1} or ``alpha`` in {0, 1}.
+    ``beta`` in {0, 1} or ``alpha`` in {0, 1}.  The budget depends on
+    the (frozen, hashable) configuration alone, so it is memoized.
     """
     c = config
     t_recv = c.beta * c.slot_duration

@@ -84,6 +84,9 @@ def simulate(config: SystemConfig, policy: AccessPolicy, n_slots: int,
     primary level with it empty.  The Python loop only walks (primary
     level, relay level) through these tables; every count is then
     recovered from the recorded trajectory with numpy, block by block.
+
+    ``budget`` overrides ``link_budget(config)``, so that tests can set
+    link probabilities directly (theta_pd = 1, theta_ps = 0, ...).
     """
     if n_slots < 1:
         raise ValueError(f"n_slots: must be >= 1, got {n_slots}")
@@ -199,8 +202,7 @@ def simulate(config: SystemConfig, policy: AccessPolicy, n_slots: int,
 
 
 def compare(config: SystemConfig, policy: AccessPolicy, n_slots: int,
-            seeds, warmup_slots: int = 10_000,
-            budget: Optional[LinkBudget] = None) -> dict:
+            seeds, warmup_slots: int = 10_000) -> dict:
     """Analytic-versus-empirical gap report over one or more seeds.
 
     For each seed: total variation between the empirical and analytic
@@ -215,8 +217,7 @@ def compare(config: SystemConfig, policy: AccessPolicy, n_slots: int,
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seeds: need at least one")
-    b = budget if budget is not None else link_budget(config)
-    ev = evaluate_policy(config, policy, budget=b)
+    ev = evaluate_policy(config, policy)
     pi = ev.relay_state.occupancy
     n_p = config.pu_queue_capacity
 
@@ -226,7 +227,7 @@ def compare(config: SystemConfig, policy: AccessPolicy, n_slots: int,
     per_seed = []
     for seed in seeds:
         stats = simulate(config, policy, n_slots, seed,
-                         warmup_slots=warmup_slots, budget=b)
+                         warmup_slots=warmup_slots)
         emp_pi = [c / stats.slots for c in stats.relay_queue_histogram]
         tv = 0.5 * sum(abs(e - a) for e, a in zip(emp_pi, pi))
         emp_full = stats.pu_queue_histogram[n_p] / stats.slots

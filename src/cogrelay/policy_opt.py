@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import lp_core
-from .link_model import LinkBudget, SystemConfig, link_budget
+from .link_model import SystemConfig, link_budget
 from .queue_analytics import (_FLOOR_SLACK, AccessPolicy, PolicyEvaluation,
                               _brent, evaluate_policy, min_departure_rate,
                               pu_busy_probability)
@@ -90,8 +90,7 @@ def _infeasible(method, diagnostics=()):
                               diagnostics=tuple(diagnostics))
 
 
-def feasible_mu_p_range(config: SystemConfig,
-                        budget: Optional[LinkBudget] = None):
+def feasible_mu_p_range(config: SystemConfig):
     """Closed-form interval of admissible target departure rates.
 
     The upper end is the departure rate with the relay always able to
@@ -100,7 +99,7 @@ def feasible_mu_p_range(config: SystemConfig,
     Returns (lo, hi), or None when the interval is empty (including
     the case where no departure rate meets the loss threshold).
     """
-    b = budget if budget is not None else link_budget(config)
+    b = link_budget(config)
     floor = min_departure_rate(config.pu_arrival_rate,
                                config.pu_queue_capacity,
                                config.loss_threshold)
@@ -114,8 +113,7 @@ def feasible_mu_p_range(config: SystemConfig,
     return (lo, hi)
 
 
-def attainable_mu_p_range(config: SystemConfig,
-                          budget: Optional[LinkBudget] = None):
+def attainable_mu_p_range(config: SystemConfig):
     """Sub-interval of the closed-form range a stationary policy can hit.
 
     The closed-form interval treats the relay occupancy as free, but
@@ -137,13 +135,12 @@ def attainable_mu_p_range(config: SystemConfig,
     On all 132 bundled sweep cells both policies have one equilibrium,
     so the two agree there.
     """
-    b = budget if budget is not None else link_budget(config)
-    rng = feasible_mu_p_range(config, b)
+    rng = feasible_mu_p_range(config)
     if rng is None:
         return None
     n_s = config.relay_queue_capacity
-    always = evaluate_policy(config, _uniform_policy(1.0, n_s), budget=b)
-    never = evaluate_policy(config, _step_policy(0, n_s), budget=b)
+    always = evaluate_policy(config, _uniform_policy(1.0, n_s))
+    never = evaluate_policy(config, _step_policy(0, n_s))
     lo = max(rng[0], always.mu_p - _PAD)
     hi = min(rng[1], never.mu_p + _PAD)
     if lo > hi:
@@ -151,8 +148,7 @@ def attainable_mu_p_range(config: SystemConfig,
     return (lo, hi)
 
 
-def build_lp(config: SystemConfig, budget: LinkBudget,
-             mu_p: float) -> lp_core.LpProblem:
+def build_lp(config: SystemConfig, mu_p: float) -> lp_core.LpProblem:
     """Relay-occupancy LP at one pinned primary departure rate.
 
     Variables are [occupancy pi_0..pi_N, shared mass a_0..a_N] where
@@ -163,10 +159,10 @@ def build_lp(config: SystemConfig, budget: LinkBudget,
     is an LP vertex.  The search builds the same rows for a block of
     rates at once (``_pinned_rate_rows``); this is the block of one.
     """
-    a_eq, b_eq = _pinned_rate_rows(config, budget, [mu_p])
-    objective, ineq_constraints, bounds = _rate_free_parts(config, budget)
-    return lp_core.LpProblem(objective, (a_eq[0], b_eq[0]), ineq_constraints,
-                             bounds)
+    b = link_budget(config)
+    a_eq, b_eq = _pinned_rate_rows(config, b, [mu_p])
+    objective, ineq, bounds = _rate_free_parts(config, b)
+    return lp_core.LpProblem(objective, (a_eq[0], b_eq[0]), ineq, bounds)
 
 
 def _rate_free_parts(config, budget):
@@ -225,8 +221,7 @@ def _pinned_rate_rows(config, budget, mu):
     return a_eq, b_eq
 
 
-def optimal_policy(config: SystemConfig,
-                   budget: Optional[LinkBudget] = None) -> OptimizationResult:
+def optimal_policy(config: SystemConfig) -> OptimizationResult:
     """Grid sweep of the pinned-rate LP; best verified objective wins.
 
     The grid is ``_GRID_POINTS`` rates spread uniformly over the
@@ -254,13 +249,13 @@ def optimal_policy(config: SystemConfig,
     policy scores the same and there is no LP to build; the never-share
     policy (the threshold search's tie-break) is evaluated instead.
     """
-    b = budget if budget is not None else link_budget(config)
-    window = attainable_mu_p_range(config, b)
+    b = link_budget(config)
+    window = attainable_mu_p_range(config)
     if window is None:
         return _infeasible("lp")
     if b.capture <= 0.0:
         policy = _step_policy(0, config.relay_queue_capacity)
-        evaluation = evaluate_policy(config, policy, budget=b)
+        evaluation = evaluate_policy(config, policy)
         if not evaluation.feasible:
             return _infeasible("lp")
         return OptimizationResult(method="lp", status="ok", policy=policy,
@@ -297,7 +292,7 @@ def optimal_policy(config: SystemConfig,
             else:
                 probs.append(0.0)
         policy = AccessPolicy(probs)
-        evaluation = evaluate_policy(config, policy, budget=b)
+        evaluation = evaluate_policy(config, policy)
         if (evaluation.feasible
                 and abs(evaluation.mu_s - objective) <= _SCORE_TOL):
             return OptimizationResult(method="lp", status="ok", policy=policy,
@@ -318,8 +313,7 @@ def _step_policy(n_th: int, n_s: int) -> AccessPolicy:
                                        for n in range(1, n_s + 1)))
 
 
-def cpt_policy(config: SystemConfig,
-               budget: Optional[LinkBudget] = None) -> OptimizationResult:
+def cpt_policy(config: SystemConfig) -> OptimizationResult:
     """Best constant sharing probability: a scan of p and its edge.
 
     Feasibility holds on a prefix of p.  Sharing swaps the relay's
@@ -343,8 +337,7 @@ def cpt_policy(config: SystemConfig,
     every scored p in order, with status "scan" or "edge".  An empty
     target window holds no equilibrium, so then nothing is scored.
     """
-    b = budget if budget is not None else link_budget(config)
-    if feasible_mu_p_range(config, b) is None:
+    if feasible_mu_p_range(config) is None:
         return _infeasible("cpt")
     n_s = config.relay_queue_capacity
     # the window is nonempty, so the floor exists; evaluate_policy calls
@@ -356,7 +349,7 @@ def cpt_policy(config: SystemConfig,
 
     def score(p, status):
         if p not in scored:
-            ev = evaluate_policy(config, _uniform_policy(p, n_s), budget=b)
+            ev = evaluate_policy(config, _uniform_policy(p, n_s))
             scored[p] = (ev.mu_s if ev.feasible else -math.inf, ev, status)
         return scored[p][0]
 
@@ -395,8 +388,7 @@ def cpt_policy(config: SystemConfig,
                               diagnostics=diagnostics)
 
 
-def st_policy(config: SystemConfig,
-              budget: Optional[LinkBudget] = None) -> OptimizationResult:
+def st_policy(config: SystemConfig) -> OptimizationResult:
     """Best threshold rule: share at buffer levels up to the threshold.
 
     Enumerates thresholds 0..capacity; threshold 0 never shares at any
@@ -408,13 +400,12 @@ def st_policy(config: SystemConfig,
     so feasibility holds on a prefix of thresholds and the enumeration
     stops at the first infeasible one.
     """
-    b = budget if budget is not None else link_budget(config)
     n_s = config.relay_queue_capacity
     diagnostics = []
     best = None
     for n_th in range(0, n_s + 1):
         policy = _step_policy(n_th, n_s)
-        ev = evaluate_policy(config, policy, budget=b)
+        ev = evaluate_policy(config, policy)
         val = ev.mu_s if ev.feasible else -math.inf
         diagnostics.append(SweepPoint(ev.mu_p, val, f"threshold_{n_th}"))
         if not ev.feasible:

@@ -434,8 +434,8 @@ def _equilibria(lam, n_p, budget, r, floor, implied_rate):
     return roots, mid
 
 
-def evaluate_policy(config: SystemConfig, policy: AccessPolicy,
-                    budget: Optional[LinkBudget] = None) -> PolicyEvaluation:
+def evaluate_policy(config: SystemConfig,
+                    policy: AccessPolicy) -> PolicyEvaluation:
     """Resolve the coupled primary/relay rates for a fixed policy.
 
     The primary departure rate and the relay buffer law determine each
@@ -459,7 +459,7 @@ def evaluate_policy(config: SystemConfig, policy: AccessPolicy,
         raise ValueError(
             f"probs: policy covers levels 0..{policy.capacity} but "
             f"relay_queue_capacity is {config.relay_queue_capacity}")
-    b = budget if budget is not None else link_budget(config)
+    b = link_budget(config)
     lam = config.pu_arrival_rate
     n_p = config.pu_queue_capacity
     r = relay_departure_probs(policy, b)

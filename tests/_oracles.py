@@ -328,7 +328,7 @@ def slot_by_slot_simulate(config, policy, n_slots, seed, warmup_slots=10_000,
     )
 
 
-def golden_and_scan_cpt(config, budget=None):
+def golden_and_scan_cpt(config):
     """The constant-probability search as first written, kept as a reference.
 
     Golden section on [0, 1] plus a 1001-point scan of p, about a
@@ -343,8 +343,7 @@ def golden_and_scan_cpt(config, budget=None):
     closed-form target window, so when that window is empty no policy
     is feasible and nothing is scored.
     """
-    b = budget if budget is not None else link_budget(config)
-    if feasible_mu_p_range(config, b) is None:
+    if feasible_mu_p_range(config) is None:
         return _infeasible("cpt")
     n_s = config.relay_queue_capacity
 
@@ -353,7 +352,7 @@ def golden_and_scan_cpt(config, budget=None):
     def score(p):
         key = round(p, 12)
         if key not in cache:
-            ev = evaluate_policy(config, _uniform_policy(p, n_s), budget=b)
+            ev = evaluate_policy(config, _uniform_policy(p, n_s))
             cache[key] = (ev.mu_s if ev.feasible else -math.inf, ev)
         return cache[key][0]
 
@@ -401,7 +400,7 @@ _PEAK_TOL = 1e-7  # golden-section bracket width left around the CPT peak
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def scan_edge_golden_cpt(config, budget=None):
+def scan_edge_golden_cpt(config):
     """CPT with a golden section at its best scan point, kept as a reference.
 
     The package's ``cpt_policy`` dropped the golden section at the best
@@ -421,8 +420,7 @@ def scan_edge_golden_cpt(config, budget=None):
     status "scan", "edge" or "peak".  An empty target window holds no
     equilibrium, so then nothing is scored.
     """
-    b = budget if budget is not None else link_budget(config)
-    if feasible_mu_p_range(config, b) is None:
+    if feasible_mu_p_range(config) is None:
         return _infeasible("cpt")
     n_s = config.relay_queue_capacity
     # the window is nonempty, so the floor exists; evaluate_policy calls
@@ -434,7 +432,7 @@ def scan_edge_golden_cpt(config, budget=None):
 
     def score(p, status):
         if p not in scored:
-            ev = evaluate_policy(config, _uniform_policy(p, n_s), budget=b)
+            ev = evaluate_policy(config, _uniform_policy(p, n_s))
             scored[p] = (ev.mu_s if ev.feasible else -math.inf, ev, status)
         return scored[p][0]
 
@@ -695,7 +693,7 @@ def _basis_state(problem, rows, real_status):
     return a, lo, up, x_basic, (cost - y @ a)[:n_real], n_real
 
 
-def warm_started_lp_grid(config, budget=None):
+def warm_started_lp_grid(config):
     """The exact search as it was before the family solve, kept as a reference.
 
     One grid point at a time, on the LP built row by row
@@ -723,13 +721,13 @@ def warm_started_lp_grid(config, budget=None):
     policy scores the same and there is no LP to build; the never-share
     policy (the threshold search's tie-break) is evaluated instead.
     """
-    b = budget if budget is not None else link_budget(config)
-    window = attainable_mu_p_range(config, b)
+    b = link_budget(config)
+    window = attainable_mu_p_range(config)
     if window is None:
         return _infeasible("lp")
     if b.theta_ps * (1.0 - b.theta_pd) <= 0.0:
         policy = _step_policy(0, config.relay_queue_capacity)
-        evaluation = evaluate_policy(config, policy, budget=b)
+        evaluation = evaluate_policy(config, policy)
         if not evaluation.feasible:
             return _infeasible("lp")
         return OptimizationResult(method="lp", status="ok", policy=policy,
@@ -767,7 +765,7 @@ def warm_started_lp_grid(config, budget=None):
             else:
                 probs.append(0.0)
         policy = AccessPolicy(probs)
-        evaluation = evaluate_policy(config, policy, budget=b)
+        evaluation = evaluate_policy(config, policy)
         if (evaluation.feasible
                 and abs(evaluation.mu_s - objective) <= _SCORE_TOL):
             return OptimizationResult(method="lp", status="ok", policy=policy,

@@ -273,6 +273,18 @@ def test_overloaded_report_is_short(defaults):
     assert "relay_occupancy" not in text
 
 
+@pytest.mark.parametrize("method", ["lp", "cpt", "st"])
+def test_search_report_reuses_the_search_evaluation(defaults, monkeypatch,
+                                                    method):
+    # the search result already holds the evaluation of its policy
+    def evaluate(config, policy):
+        raise AssertionError("the searched policy was evaluated again")
+
+    monkeypatch.setattr(experiments_cli, "evaluate_policy", evaluate)
+    text = run_single(defaults, method=method)
+    assert "feasible = true\n" in text
+
+
 def test_exactly_one_input_mode(defaults):
     with pytest.raises(ValueError, match="method"):
         run_single(defaults)

@@ -1,11 +1,18 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cogrelay import SystemConfig, link_budget, success_probability
+from cogrelay import (AccessPolicy, SystemConfig, cpt_policy, evaluate_policy,
+                      link_budget, optimal_policy, st_policy,
+                      success_probability)
+from cogrelay.experiments_cli import main
 from cogrelay.link_model import config_field_errors
+
+DEFAULTS_CFG = str(Path(__file__).resolve().parent.parent / "configs"
+                   / "defaults.cfg")
 
 # Values frozen from the baseline configuration: symmetric 100 m links
 # at -10 dB, 200 m primary-to-destination, half-slot phases.
@@ -160,3 +167,26 @@ def test_success_probability_is_finite_everywhere():
         v = success_probability(0.1, distance, gain, 0.05, 3e-3, noise,
                                 exponent)
         assert v == 0.0
+
+
+@pytest.mark.parametrize("distance", [5e-324, 1e-300, 1e-200])
+@pytest.mark.parametrize("field", ["distance_pd", "distance_ps",
+                                   "distance_sd", "distance_sr"])
+def test_tiny_distance_makes_a_certain_link(field, distance, capsys):
+    # distance ** -2 overflows below about 1e-154: the mean SNR is
+    # infinite, so the link always succeeds, and nothing downstream
+    # sees anything but finite numbers
+    cfg = dataclasses.replace(SystemConfig(), **{field: distance})
+    b = link_budget(cfg)
+    for link, theta in b.as_dict().items():  # distance_pd sets theta_pd, ...
+        assert (theta == 1.0) == link.startswith("theta_" + field[-2:])
+        assert 0.0 < theta <= 1.0
+    ev = evaluate_policy(cfg, AccessPolicy((1.0,) * 11))
+    assert math.isfinite(ev.mu_p) and math.isfinite(ev.mu_s)
+    for search in (optimal_policy, cpt_policy, st_policy):
+        r = search(cfg)
+        assert math.isfinite(r.mu_s) and math.isfinite(r.objective)
+    rc = main(["evaluate", "--config", DEFAULTS_CFG,
+               "--set", f"{field}={distance!r}"])
+    assert rc == 0
+    assert "mu_s = " in capsys.readouterr().out

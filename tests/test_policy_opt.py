@@ -55,7 +55,7 @@ def test_attainable_window_nests_inside(defaults):
 def test_lp_dimensions_scale_with_buffer(defaults, budget):
     for n_s in (1, 2, 10):
         cfg = dataclasses.replace(defaults, relay_queue_capacity=n_s)
-        p = build_lp(cfg, link_budget(cfg), 0.71)
+        p = build_lp(cfg, 0.71)
         assert p.n_vars == 2 * (n_s + 1)
         assert len(p.eq_constraints[1]) == n_s + 3
         assert len(p.ineq_constraints[1]) == n_s + 1
@@ -68,10 +68,10 @@ def test_chain_solution_satisfies_lp_rows(defaults, budget):
     cfg = dataclasses.replace(defaults, relay_queue_capacity=5)
     b = link_budget(cfg)
     for p in (0.0, 0.3, 0.8, 1.0):
-        ev = evaluate_policy(cfg, AccessPolicy((1.0,) + (p,) * 5), b)
+        ev = evaluate_policy(cfg, AccessPolicy((1.0,) + (p,) * 5))
         occ = ev.relay_state.occupancy
         x = np.array(list(occ) + [occ[0]] + [p * o for o in occ[1:]])
-        prob = build_lp(cfg, b, ev.mu_p)
+        prob = build_lp(cfg, ev.mu_p)
         a_eq, b_eq = (np.array(prob.eq_constraints[0]),
                       np.array(prob.eq_constraints[1]))
         assert np.max(np.abs(a_eq @ x - b_eq)) <= 1e-8
@@ -88,7 +88,7 @@ def test_pinned_rate_row_at_the_ceiling(defaults, budget):
     cfg = dataclasses.replace(defaults, relay_queue_capacity=2)
     b = link_budget(cfg)
     capture = b.theta_ps * (1.0 - b.theta_pd)
-    prob = build_lp(cfg, b, b.theta_pd + capture)
+    prob = build_lp(cfg, b.theta_pd + capture)
     assert prob.eq_constraints[1][-1] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -199,14 +199,14 @@ def test_sweep_diagnostics_mostly_stable(defaults):
     assert swept == sorted(swept)
 
 
-def test_warm_started_sweep_matches_cold_solves(defaults, budget):
+def test_warm_started_sweep_matches_cold_solves(defaults):
     # most grid LPs keep their neighbour's basis; the scores must be
     # those of independent cold solves
     r = optimal_policy(defaults)
     for d in r.diagnostics:
         if d.status != "optimal":
             continue
-        cold = lp_core.solve(build_lp(defaults, budget, d.mu_p))
+        cold = lp_core.solve(build_lp(defaults, d.mu_p))
         assert cold.status == "optimal"
         assert abs(cold.objective_value - d.objective) <= 1e-9
 
@@ -377,12 +377,11 @@ def test_cold_solves_keep_their_bland_pivot_path(defaults, n_s, grid_points,
     # fresh LU factorization; the n_s = 20 solves run past the refactor
     # interval of the updated basis inverse
     cfg = dataclasses.replace(defaults, relay_queue_capacity=n_s)
-    b = link_budget(cfg)
-    grid = np.linspace(*attainable_mu_p_range(cfg, b),
+    grid = np.linspace(*attainable_mu_p_range(cfg),
                        policy_opt._GRID_POINTS)
     calls = []
     for k in grid_points:
-        problem = build_lp(cfg, b, float(grid[k]))
+        problem = build_lp(cfg, float(grid[k]))
         try:
             calls.append((problem, lp_core.solve(problem)))
         except RuntimeError as exc:
@@ -399,10 +398,10 @@ def test_block_rows_match_the_row_by_row_lp(defaults, n_s):
     cfg = dataclasses.replace(defaults, relay_queue_capacity=n_s,
                               pu_queue_capacity=50)
     b = link_budget(cfg)
-    rates = np.linspace(*attainable_mu_p_range(cfg, b), 7)
+    rates = np.linspace(*attainable_mu_p_range(cfg), 7)
     a_eq, b_eq = policy_opt._pinned_rate_rows(cfg, b, rates)
     for k, mu_p in enumerate(rates.tolist()):
-        ref, one = row_by_row_lp(cfg, b, mu_p), build_lp(cfg, b, mu_p)
+        ref, one = row_by_row_lp(cfg, b, mu_p), build_lp(cfg, mu_p)
         for p in (one, lp_core.LpProblem(one.objective, (a_eq[k], b_eq[k]),
                                          one.ineq_constraints, one.bounds)):
             assert np.array_equal(p.objective, ref.objective)
@@ -414,14 +413,14 @@ def test_block_rows_match_the_row_by_row_lp(defaults, n_s):
 
 # -- constant-probability search --------------------------------------------
 
-def test_cpt_tracks_its_own_grid(defaults, budget):
+def test_cpt_tracks_its_own_grid(defaults):
     r = cpt_policy(defaults)
     assert r.status == "ok"
     flat = r.policy.probs[1]
     assert all(p == flat for p in r.policy.probs[1:])
     dense = 0.0
     for p in np.linspace(0, 1, 101):
-        ev = evaluate_policy(defaults, AccessPolicy((1.0,) + (p,) * 10), budget)
+        ev = evaluate_policy(defaults, AccessPolicy((1.0,) + (p,) * 10))
         if ev.feasible:
             dense = max(dense, ev.mu_s)
     assert r.mu_s >= dense - 1e-6
@@ -480,7 +479,7 @@ def fake_uniform_evaluations(monkeypatch, config, mu_s, lowest):
     floor = min_departure_rate(config.pu_arrival_rate,
                                config.pu_queue_capacity, config.loss_threshold)
 
-    def evaluate(config, policy, budget=None):
+    def evaluate(config, policy):
         p = policy.probs[1]
         low = lowest(p, floor)
         return SimpleNamespace(mu_p=low, mu_s=mu_s(p), equilibria=(low,),
@@ -667,18 +666,17 @@ def test_feasibility_is_a_prefix_in_p_and_in_the_threshold():
         assert errors == []
         for value in spec.sweep_values:
             cfg = apply_sweep_value(spec.base, spec.sweep_variable, value)
-            b = link_budget(cfg)
             n_s = cfg.relay_queue_capacity
             uniform = [(1.0,) + (k / 64,) * n_s for k in range(65)]
             steps = [(1.0,) * (t + 1) + (0.0,) * (n_s - t)
                      for t in range(n_s + 1)]
             feasible = {}
             for kind, policies in (("p", uniform), ("threshold", steps)):
-                ok = [evaluate_policy(cfg, AccessPolicy(probs), b).feasible
+                ok = [evaluate_policy(cfg, AccessPolicy(probs)).feasible
                       for probs in policies]
                 feasible[kind] = ok.index(False) if False in ok else len(ok)
                 assert not any(ok[feasible[kind]:]), (path.name, value, kind)
-            scored = len(st_policy(cfg, b).diagnostics)
+            scored = len(st_policy(cfg).diagnostics)
             assert scored == min(feasible["threshold"] + 1, n_s + 1), (
                 path.name, value)
             cells += 1

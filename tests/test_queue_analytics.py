@@ -258,7 +258,7 @@ def test_flat_policy_baseline_values(defaults):
 def test_evaluation_is_a_fixed_point(defaults, budget):
     policy = AccessPolicy((1.0, 0.9, 0.7, 0.5, 0.3, 0.1))
     cfg = dataclasses.replace(defaults, relay_queue_capacity=5)
-    ev = evaluate_policy(cfg, policy, budget)
+    ev = evaluate_policy(cfg, policy)
     # one more explicit application of the update map moves nothing
     capture = budget.theta_ps * (1.0 - budget.theta_pd)
     q = pu_busy_probability(cfg.pu_arrival_rate, ev.mu_p,
@@ -273,7 +273,7 @@ def test_evaluation_is_a_fixed_point(defaults, budget):
 def test_throughput_splits_by_buffer_state(defaults, budget):
     cfg = dataclasses.replace(defaults, relay_queue_capacity=2)
     policy = AccessPolicy((1.0, 0.4, 0.8))
-    ev = evaluate_policy(cfg, policy, budget)
+    ev = evaluate_policy(cfg, policy)
     occ = ev.relay_state.occupancy
     want = (budget.theta_sr * occ[0]
             + budget.theta_sr_shared * (0.4 * occ[1] + 0.8 * occ[2]))
@@ -315,7 +315,7 @@ def test_every_equilibrium_is_listed_and_must_meet_the_floor():
     cfg = _fig_base(0.0)
     b = link_budget(cfg)
     policy = AccessPolicy((1.0,) + (0.0,) * 9 + (0.773,))
-    ev = evaluate_policy(cfg, policy, b)
+    ev = evaluate_policy(cfg, policy)
     floor = min_departure_rate(cfg.pu_arrival_rate, cfg.pu_queue_capacity,
                                cfg.loss_threshold)
     assert len(ev.equilibria) == 3
@@ -338,7 +338,7 @@ def test_reported_rate_is_the_root_reached_from_mid_interval():
     # the map points up, so the reported one is the smallest
     cfg = _fig_base(0.0)
     b = link_budget(cfg)
-    ev = evaluate_policy(cfg, AccessPolicy((1.0,) + (0.0,) * 9 + (0.773,)), b)
+    ev = evaluate_policy(cfg, AccessPolicy((1.0,) + (0.0,) * 9 + (0.773,)))
     mid = b.theta_pd + 0.5 * b.theta_ps * (1.0 - b.theta_pd)
     assert mid < ev.equilibria[0]
     assert len(ev.equilibria) == 3
@@ -349,7 +349,7 @@ def test_reported_rate_solves_the_fixed_point_equation():
     cfg = _fig_base(0.15)
     b = link_budget(cfg)
     policy = AccessPolicy((1.0,) + (0.25,) * cfg.relay_queue_capacity)
-    ev = evaluate_policy(cfg, policy, b)
+    ev = evaluate_policy(cfg, policy)
     q = pu_busy_probability(cfg.pu_arrival_rate, ev.mu_p,
                             cfg.pu_queue_capacity) * b.theta_ps * (
                                 1.0 - b.theta_pd)
