@@ -9,9 +9,8 @@ __version__ = "0.1.0"
 
 from .link_model import LinkBudget, SystemConfig, link_budget, success_probability
 from .queue_analytics import (AccessPolicy, PolicyEvaluation,
-                              PuSteadyState, RelaySteadyState,
-                              evaluate_policy, min_departure_rate,
-                              pu_steady_state, relay_steady_state)
+                              RelaySteadyState, evaluate_policy,
+                              min_departure_rate, relay_steady_state)
 from .policy_opt import (OptimizationResult, cpt_policy, optimal_policy,
                          st_policy)
 from .mc_sim import SimStats, compare, simulate
@@ -19,9 +18,8 @@ from .mc_sim import SimStats, compare, simulate
 __all__ = [
     "__version__",
     "SystemConfig", "LinkBudget", "link_budget", "success_probability",
-    "AccessPolicy", "PuSteadyState", "RelaySteadyState", "PolicyEvaluation",
-    "pu_steady_state", "min_departure_rate", "relay_steady_state",
-    "evaluate_policy",
+    "AccessPolicy", "RelaySteadyState", "PolicyEvaluation",
+    "min_departure_rate", "relay_steady_state", "evaluate_policy",
     "OptimizationResult", "optimal_policy", "cpt_policy", "st_policy",
     "SimStats", "simulate", "compare",
 ]

@@ -389,8 +389,8 @@ def run_single(config: SystemConfig, method: Optional[str] = None,
     lines.append(f"feasible = {_fmt(ev.feasible)}")
     lines.append("relay_occupancy = "
                  + ",".join(_fmt(x) for x in ev.relay_state.occupancy))
-    lines.append(f"pu_busy = {_fmt(ev.pu_state.busy)}")
-    lines.append(f"pu_full = {_fmt(ev.pu_state.full)}")
+    lines.append(f"pu_busy = {_fmt(ev.pu_busy)}")
+    lines.append(f"pu_full = {_fmt(ev.pu_full)}")
     if do_simulate:
         report = compare(config, policy, n_slots, seeds,
                          warmup_slots=warmup_slots)

@@ -26,10 +26,13 @@ class SimStats:
     """Counts from one simulation run, post warm-up.
 
     ``slots`` is the number of counted slots; both histograms sum to
-    it.  ``measured_mu_p`` is departures per busy slot,
-    ``measured_mu_s`` deliveries per slot, ``measured_block_fraction``
-    drops per arrival.  Final queue levels make conservation checks
-    exact when run without warm-up.
+    it.  ``relay_queue_histogram`` has one entry per relay level;
+    ``pu_queue_histogram`` runs from primary level 0 to the highest
+    level visited, so its length is at most the slots run plus one,
+    whatever the capacity.  ``measured_mu_p`` is departures per busy
+    slot, ``measured_mu_s`` deliveries per slot,
+    ``measured_block_fraction`` drops per arrival.  Final queue levels
+    make conservation checks exact when run without warm-up.
     """
 
     slots: int
@@ -134,7 +137,7 @@ def simulate(config: SystemConfig, policy: AccessPolicy, n_slots: int,
     rng = np.random.Generator(np.random.Philox(seed))
     m = 0  # primary queue level
     k = 0  # relay buffer level
-    w_hist = np.zeros(n_p + 1, np.int64)
+    w_hist = np.zeros(0, np.int64)
     pi_hist = np.zeros(n_k, np.int64)
     arrivals = drops = delivered = departures = busy = 0
 
@@ -182,7 +185,10 @@ def simulate(config: SystemConfig, policy: AccessPolicy, n_slots: int,
         drops += int(np.count_nonzero(arr & (m_start - departed == n_p)))
         lo = int(m_start.min())
         seen = np.bincount(m_start - lo)
-        w_hist[lo:lo + len(seen)] += seen
+        top = lo + len(seen)
+        if top > len(w_hist):  # grows with the levels visited, not n_p
+            w_hist = np.pad(w_hist, (0, top - len(w_hist)))
+        w_hist[lo:top] += seen
         pi_hist += np.bincount(k_mid, minlength=n_k)
 
     return SimStats(
@@ -230,14 +236,15 @@ def compare(config: SystemConfig, policy: AccessPolicy, n_slots: int,
                          warmup_slots=warmup_slots)
         emp_pi = [c / stats.slots for c in stats.relay_queue_histogram]
         tv = 0.5 * sum(abs(e - a) for e, a in zip(emp_pi, pi))
-        emp_full = stats.pu_queue_histogram[n_p] / stats.slots
-        busy = stats.slots - stats.pu_queue_histogram[0]
+        hist = stats.pu_queue_histogram
+        emp_full = (hist[n_p] if n_p < len(hist) else 0) / stats.slots
+        busy = stats.slots - hist[0]
         gaps = {
             "seed": seed,
             "tv_relay": tv,
             "hw_tv": 3.0 / math.sqrt(stats.slots),
-            "gap_full": abs(emp_full - ev.pu_state.full),
-            "hw_full": halfwidth(ev.pu_state.full, stats.slots),
+            "gap_full": abs(emp_full - ev.pu_full),
+            "hw_full": halfwidth(ev.pu_full, stats.slots),
             "gap_mu_p": abs(stats.measured_mu_p - ev.mu_p),
             "hw_mu_p": halfwidth(ev.mu_p, busy),
             "gap_mu_s": abs(stats.measured_mu_s - ev.mu_s),
@@ -253,7 +260,7 @@ def compare(config: SystemConfig, policy: AccessPolicy, n_slots: int,
 
     return {
         "analytic": {"mu_p": ev.mu_p, "mu_s": ev.mu_s,
-                     "full": ev.pu_state.full,
+                     "full": ev.pu_full,
                      "relay_occupancy": list(pi),
                      "equilibria": list(ev.equilibria)},
         "per_seed": per_seed,

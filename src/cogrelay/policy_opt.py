@@ -25,8 +25,8 @@ import numpy as np
 
 from . import lp_core
 from .link_model import SystemConfig, link_budget
-from .queue_analytics import (_FLOOR_SLACK, AccessPolicy, PolicyEvaluation,
-                              _brent, evaluate_policy, min_departure_rate,
+from .queue_analytics import (AccessPolicy, PolicyEvaluation, _brent,
+                              evaluate_policy, min_departure_rate,
                               pu_busy_probability)
 
 __all__ = [
@@ -340,11 +340,6 @@ def cpt_policy(config: SystemConfig) -> OptimizationResult:
     if feasible_mu_p_range(config) is None:
         return _infeasible("cpt")
     n_s = config.relay_queue_capacity
-    # the window is nonempty, so the floor exists; evaluate_policy calls
-    # a policy feasible when its lowest equilibrium is >= level
-    level = min_departure_rate(config.pu_arrival_rate,
-                               config.pu_queue_capacity,
-                               config.loss_threshold) - _FLOOR_SLACK
     scored = {}  # p -> (score, evaluation, status)
 
     def score(p, status):
@@ -360,10 +355,10 @@ def cpt_policy(config: SystemConfig) -> OptimizationResult:
         bracket = [ok, bad]
 
         def margin(p):  # positive exactly where p is feasible
-            feasible = score(p, "edge") > -math.inf
-            bracket[not feasible] = p
-            gap = scored[p][1].equilibria[0] - level
-            return max(gap, 1e-18) if feasible else gap
+            score(p, "edge")
+            gap = scored[p][1].floor_margin
+            bracket[gap < 0.0] = p
+            return max(gap, 1e-18) if gap >= 0.0 else gap
 
         _brent(margin, ok, bad, margin(ok), margin(bad), xtol=_EDGE_TOL)
         while abs(bracket[1] - bracket[0]) > _EDGE_TOL:

@@ -22,10 +22,8 @@ from .link_model import LinkBudget, SystemConfig, link_budget
 
 __all__ = [
     "AccessPolicy",
-    "PuSteadyState",
     "RelaySteadyState",
     "PolicyEvaluation",
-    "pu_steady_state",
     "pu_busy_probability",
     "pu_blocking_probability",
     "min_departure_rate",
@@ -91,97 +89,37 @@ def _pu_point_mass(lam: float, mu: float, n_p: int) -> Optional[int]:
 
 
 def _pu_scalars(lam: float, mu: float, n_p: int):
-    """(w0, busy, full) for the primary chain, O(1) and overflow safe."""
+    """(busy, full) of the primary chain, O(1) and overflow safe."""
     level = _pu_point_mass(lam, mu, n_p)
     if level is not None:
-        return float(level == 0), float(level > 0), float(level == n_p)
+        return float(level > 0), float(level == n_p)
     gamma = lam * (1.0 - mu) / ((1.0 - lam) * mu)
     rho1 = lam / ((1.0 - lam) * mu)
     if abs(gamma - 1.0) < _GAMMA_UNIT_TOL:
         total = 1.0 + rho1 * n_p
-        return 1.0 / total, 1.0 - 1.0 / total, rho1 / total
+        return 1.0 - 1.0 / total, rho1 / total
     if gamma < 1.0:
         total = 1.0 + rho1 * (1.0 - gamma ** n_p) / (1.0 - gamma)
-        return 1.0 / total, 1.0 - 1.0 / total, rho1 * gamma ** (n_p - 1) / total
+        return 1.0 - 1.0 / total, rho1 * gamma ** (n_p - 1) / total
     # gamma > 1: divide the whole sum by gamma**(n_p - 1) so that the
     # dominant term is O(1) even for huge capacities.
     inv = 1.0 / gamma
     log_top = (n_p - 1) * math.log(gamma)
     lead = math.exp(-log_top) if log_top < 700.0 else 0.0
     denom = lead + rho1 * (1.0 - inv ** n_p) / (1.0 - inv)
-    return lead / denom, 1.0 - lead / denom, rho1 / denom
-
-
-class PuSteadyState:
-    """Stationary description of the primary queue.
-
-    Scalars (``busy``, ``full``) are computed on construction in O(1).
-    The full ``occupancy`` vector is O(capacity) to build, so it is
-    materialized lazily on first access; sweeps over million-slot
-    buffers never pay for it.
-    """
-
-    __slots__ = ("arrival_rate", "departure_rate", "capacity",
-                 "busy", "full", "_occupancy")
-
-    def __init__(self, arrival_rate: float, departure_rate: float, capacity: int):
-        if not 0.0 <= arrival_rate <= 1.0:
-            raise ValueError(f"arrival_rate: must lie in [0, 1], got {arrival_rate}")
-        if not 0.0 <= departure_rate <= 1.0:
-            raise ValueError(f"departure_rate: must lie in [0, 1], got {departure_rate}")
-        if capacity < 1:
-            raise ValueError(f"capacity: must be >= 1, got {capacity}")
-        self.arrival_rate = arrival_rate
-        self.departure_rate = departure_rate
-        self.capacity = capacity
-        _, self.busy, self.full = _pu_scalars(arrival_rate, departure_rate,
-                                              capacity)
-        self._occupancy = None
-
-    @property
-    def occupancy(self) -> Tuple[float, ...]:
-        if self._occupancy is None:
-            self._occupancy = self._build_occupancy()
-        return self._occupancy
-
-    def _build_occupancy(self):
-        lam, mu, n_p = self.arrival_rate, self.departure_rate, self.capacity
-        level = _pu_point_mass(lam, mu, n_p)
-        if level is not None:
-            return (0.0,) * level + (1.0,) + (0.0,) * (n_p - level)
-        gamma = lam * (1.0 - mu) / ((1.0 - lam) * mu)
-        rho1 = lam / ((1.0 - lam) * mu)
-        # unnormalized levels u_0 = 1, u_n = rho1 * gamma**(n-1); build
-        # iteratively with periodic rescaling so gamma > 1 cannot
-        # overflow even for million-entry vectors
-        vals = [1.0, rho1]
-        cur = rho1
-        for _ in range(n_p - 1):
-            cur *= gamma
-            if cur > 1e280:
-                vals = [v / cur for v in vals]
-                cur = 1.0
-            vals.append(cur)
-        total = math.fsum(vals)
-        return tuple(v / total for v in vals)
-
-
-def pu_steady_state(arrival_rate: float, departure_rate: float,
-                    capacity: int) -> PuSteadyState:
-    """Stationary law of the primary queue for one departure rate."""
-    return PuSteadyState(arrival_rate, departure_rate, capacity)
+    return 1.0 - lead / denom, rho1 / denom
 
 
 def pu_busy_probability(arrival_rate: float, departure_rate: float,
                         capacity: int) -> float:
-    """P(queue nonempty at a slot start), without building the vector."""
-    return _pu_scalars(arrival_rate, departure_rate, capacity)[1]
+    """P(queue nonempty at a slot start)."""
+    return _pu_scalars(arrival_rate, departure_rate, capacity)[0]
 
 
 def pu_blocking_probability(arrival_rate: float, departure_rate: float,
                             capacity: int) -> float:
     """P(queue full at a slot start), the arrival-loss probability."""
-    return _pu_scalars(arrival_rate, departure_rate, capacity)[2]
+    return _pu_scalars(arrival_rate, departure_rate, capacity)[1]
 
 
 @lru_cache(maxsize=16384)
@@ -197,16 +135,16 @@ def min_departure_rate(arrival_rate: float, capacity: int,
     lam = arrival_rate
     if lam == 0.0:
         return 0.0
-    if _pu_scalars(lam, 1.0, capacity)[2] > loss_threshold:
+    if _pu_scalars(lam, 1.0, capacity)[1] > loss_threshold:
         return None
     lo, hi = 1e-9, 1.0
-    if _pu_scalars(lam, lo, capacity)[2] <= loss_threshold:
+    if _pu_scalars(lam, lo, capacity)[1] <= loss_threshold:
         return 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # floats collapsed, done
             break
-        if _pu_scalars(lam, mid, capacity)[2] > loss_threshold:
+        if _pu_scalars(lam, mid, capacity)[1] > loss_threshold:
             lo = mid
         else:
             hi = mid
@@ -296,19 +234,25 @@ class PolicyEvaluation:
     """Coupled steady state of one policy.
 
     ``equilibria`` lists every self-consistent primary departure rate
-    found, in increasing order.  ``mu_p``, ``mu_s``, ``relay_state``
-    and ``pu_state`` describe the one of them that ``evaluate_policy``
-    reports (the nearest to the middle of the rate interval, on the
-    side the map points to).  ``feasible`` holds only when every
-    equilibrium meets the protection floor.
+    found, in increasing order.  ``mu_p``, ``mu_s``, ``relay_state``,
+    ``pu_busy`` and ``pu_full`` describe the one of them that
+    ``evaluate_policy`` reports (the nearest to the middle of the rate
+    interval, on the side the map points to); the last two are the
+    primary queue's busy and full (arrival-loss) probabilities there.
+    ``floor_margin`` is the lowest equilibrium minus the protection
+    floor, less a 1e-9 slack, and -inf when no rate meets the loss
+    threshold.  ``feasible`` is ``floor_margin >= 0``: every
+    equilibrium meets the floor.
     """
 
     mu_p: float
     mu_s: float
     relay_state: RelaySteadyState
-    pu_state: PuSteadyState
+    pu_busy: float
+    pu_full: float
     feasible: bool
     equilibria: Tuple[float, ...]
+    floor_margin: float
 
 
 def _brent(f, a, b, fa, fb, xtol=1e-12, rtol=4 * np.finfo(float).eps):
@@ -474,11 +418,14 @@ def evaluate_policy(config: SystemConfig,
 
     floor = min_departure_rate(lam, n_p, config.loss_threshold)
     equilibria, mu = _equilibria(lam, n_p, b, r, floor, implied_rate)
-    relay = relay_at(mu)
+    busy, full = _pu_scalars(lam, mu, n_p)
+    relay = relay_steady_state(busy * capture, r)
     shared = sum(pi_n * p_n for pi_n, p_n
                  in zip(relay.occupancy[1:], policy.probs[1:]))
     mu_s = b.theta_sr * relay.occupancy[0] + b.theta_sr_shared * shared
-    feasible = floor is not None and equilibria[0] >= floor - _FLOOR_SLACK
+    margin = (-math.inf if floor is None
+              else equilibria[0] - (floor - _FLOOR_SLACK))
     return PolicyEvaluation(mu_p=mu, mu_s=mu_s, relay_state=relay,
-                            pu_state=pu_steady_state(lam, mu, n_p),
-                            feasible=feasible, equilibria=equilibria)
+                            pu_busy=busy, pu_full=full,
+                            feasible=margin >= 0.0, equilibria=equilibria,
+                            floor_margin=margin)

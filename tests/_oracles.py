@@ -312,6 +312,8 @@ def slot_by_slot_simulate(config, policy, n_slots, seed, warmup_slots=10_000,
                     drops += 1
             done += 1
 
+    while w_hist[-1] == 0:  # the histogram ends at the highest level seen
+        w_hist.pop()
     return SimStats(
         slots=n_slots,
         pu_arrivals=arrivals,

@@ -138,6 +138,19 @@ def test_table_driven_simulator_is_bit_identical(defaults, budget, n_p, lam,
             field.name
 
 
+def test_primary_histogram_ends_at_the_highest_level_visited(defaults):
+    # a billion-slot buffer costs no memory: the histogram holds only
+    # the levels the run reached, and the full level, never reached,
+    # counts as seen in no slot
+    cfg = dataclasses.replace(defaults, pu_queue_capacity=10 ** 9)
+    s = simulate(cfg, HALF, n_slots=2_000, seed=4, warmup_slots=100)
+    assert sum(s.pu_queue_histogram) == s.slots
+    assert len(s.pu_queue_histogram) <= 100 + 2_000 + 1
+    assert s.pu_queue_histogram[-1] > 0
+    out = compare(cfg, HALF, n_slots=2_000, seeds=(4,), warmup_slots=100)
+    assert out["per_seed"][0]["gap_full"] == out["analytic"]["full"]
+
+
 def test_trajectories_track_the_fixed_point():
     cfg = dataclasses.replace(SystemConfig(), pu_arrival_rate=0.2,
                               relay_queue_capacity=3)

@@ -483,7 +483,8 @@ def fake_uniform_evaluations(monkeypatch, config, mu_s, lowest):
         p = policy.probs[1]
         low = lowest(p, floor)
         return SimpleNamespace(mu_p=low, mu_s=mu_s(p), equilibria=(low,),
-                               feasible=low >= floor - _FLOOR_SLACK)
+                               feasible=low >= floor - _FLOOR_SLACK,
+                               floor_margin=low - (floor - _FLOOR_SLACK))
 
     monkeypatch.setattr(policy_opt, "evaluate_policy", evaluate)
 
@@ -747,3 +748,55 @@ def test_st_tie_prefers_smaller_threshold(defaults, budget):
 def test_st_never_beats_lp(defaults):
     lp = optimal_policy(defaults)
     assert st_policy(defaults).mu_s <= lp.mu_s + 1e-9
+
+
+# -- the search contract on every bundled cell ------------------------------
+
+# cells where the exact search scores below a restricted one today; each
+# flips to a pass when the ROADMAP item named closes its gap
+_CONTRACT_GAPS = {
+    "alpha=0": "lp 2.47e-3 below cpt: the LP's vertices have a second "
+               "equilibrium below the target (ROADMAP item 1)",
+    "alpha=0.15": "lp 5.9e-4 below cpt (ROADMAP item 1)",
+    "r_ps=140": "lp 1.16e-8 below cpt: the 200-point grid misses the "
+                "optimal rate (ROADMAP item 3)",
+    "r_ps=120": "lp 3.5e-9 below cpt: the grid (ROADMAP item 3)",
+    "beta=0.35": "lp 1.34e-9 below cpt: the grid (ROADMAP item 3)",
+}
+
+
+def _contract_cells():
+    cells = []
+    for path in sorted(CONFIGS.glob("sweep_*.spec")):
+        spec, errors = load_spec(str(path))
+        assert errors == []
+        for value in spec.sweep_values:
+            cell = f"{spec.sweep_variable}={value:g}"
+            marks = ([pytest.mark.xfail(reason=_CONTRACT_GAPS[cell],
+                                        strict=True)]
+                     if cell in _CONTRACT_GAPS else [])
+            cells.append(pytest.param(
+                apply_sweep_value(spec.base, spec.sweep_variable, value),
+                id=cell, marks=marks))
+    assert len(cells) == 132
+    # off the bundled cells: a certain own link, where the exact
+    # search's policy scores 0.9999999969958444 and both restricted
+    # searches score 1.0 (the CHANGES.md FOUND line on distance_sr)
+    cells.append(pytest.param(
+        SystemConfig(distance_sr=1e-200), id="distance_sr=1e-200",
+        marks=pytest.mark.xfail(reason="lp 3.0e-9 below cpt and st: a "
+                                "vertex within _SCORE_TOL of its score is "
+                                "accepted", strict=True)))
+    return cells
+
+
+@pytest.mark.parametrize("cfg", _contract_cells())
+def test_search_contract(cfg):
+    # (i) an "ok" result is feasible at every equilibrium, and (ii) the
+    # exact search scores at least as well as either restricted one
+    results = [search(cfg) for search in (optimal_policy, cpt_policy,
+                                          st_policy)]
+    for r in results:
+        assert r.status != "ok" or r.evaluation.feasible, r.method
+    lp, cpt, st = (r.mu_s for r in results)
+    assert lp >= max(cpt, st) - 1e-9

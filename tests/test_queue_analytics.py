@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cogrelay import (AccessPolicy, SystemConfig, evaluate_policy,
-                      link_budget, min_departure_rate, pu_steady_state,
-                      relay_steady_state)
-from cogrelay.queue_analytics import (pu_blocking_probability,
+                      link_budget, min_departure_rate, relay_steady_state)
+from cogrelay.queue_analytics import (_FLOOR_SLACK, pu_blocking_probability,
                                       pu_busy_probability,
                                       pu_departure_from_relay,
                                       relay_departure_probs)
@@ -25,17 +24,20 @@ MU_BAR_BASELINE = 0.495 / 0.995
 # -- primary queue ----------------------------------------------------------
 
 def test_small_chain_exact_rationals():
-    # lam = 0.3, mu = 0.6, three slots: the stationary law has the
-    # common denominator 4746 (worked out by hand from the product form)
-    w = pu_steady_state(0.3, 0.6, 3).occupancy
-    scaled = [x * 4746 for x in w]
-    assert scaled == pytest.approx([2401, 1715, 490, 140], rel=1e-12)
+    # lam = 0.3, mu = 0.6, three slots: the stationary law is
+    # (2401, 1715, 490, 140) / 4746 (worked out by hand from the product
+    # form), so busy = 2345 / 4746 and full = 140 / 4746
+    assert pu_busy_probability(0.3, 0.6, 3) * 4746 == pytest.approx(
+        2345, rel=1e-12)
+    assert pu_blocking_probability(0.3, 0.6, 3) * 4746 == pytest.approx(
+        140, rel=1e-12)
 
 
 def test_balanced_chain_unit_ratio_branch():
-    s = pu_steady_state(0.5, 0.5, 2)
-    assert s.occupancy[0] == pytest.approx(0.2, rel=1e-12)
-    assert s.busy == pytest.approx(0.8, rel=1e-12)
+    # gamma = 1: the law is (1, 2, 2) / 5
+    assert pu_busy_probability(0.5, 0.5, 2) == pytest.approx(0.8, rel=1e-12)
+    assert pu_blocking_probability(0.5, 0.5, 2) == pytest.approx(0.4,
+                                                                 rel=1e-12)
 
 
 def test_matches_transition_matrix_solve():
@@ -45,10 +47,10 @@ def test_matches_transition_matrix_solve():
         mu = float(rng.uniform(0.05, 0.95))
         n_p = int(rng.integers(1, 41))
         ref = stationary(pu_transition_matrix(lam, mu, n_p))
-        s = pu_steady_state(lam, mu, n_p)
-        assert np.max(np.abs(np.array(s.occupancy) - ref)) < 1e-10
-        assert s.busy == pytest.approx(1.0 - ref[0], abs=1e-10)
-        assert s.full == pytest.approx(ref[-1], abs=1e-10)
+        assert pu_busy_probability(lam, mu, n_p) == pytest.approx(
+            1.0 - ref[0], abs=1e-10)
+        assert pu_blocking_probability(lam, mu, n_p) == pytest.approx(
+            ref[-1], abs=1e-10)
 
 
 @settings(max_examples=60, deadline=None)
@@ -63,40 +65,34 @@ def test_scalars_agree_with_solver(lam, mu, n_p):
         ref[-1], abs=1e-9)
 
 
+def pu_scalars(lam, mu, n_p):
+    return (pu_busy_probability(lam, mu, n_p),
+            pu_blocking_probability(lam, mu, n_p))
+
+
 def test_no_arrivals_leaves_queue_empty():
-    s = pu_steady_state(0.0, 0.7, 5)
-    assert s.occupancy[0] == 1.0
-    assert s.busy == 0.0
-    assert s.full == 0.0
+    assert pu_scalars(0.0, 0.7, 5) == (0.0, 0.0)
 
 
 def test_no_service_pins_queue_full():
-    s = pu_steady_state(0.4, 0.0, 4)
-    assert s.occupancy[-1] == 1.0
-    assert s.full == 1.0
+    assert pu_scalars(0.4, 0.0, 4) == (1.0, 1.0)
 
 
 def test_saturated_arrivals_pin_queue_full():
-    s = pu_steady_state(1.0, 0.6, 3)
-    assert s.occupancy[-1] == 1.0
+    assert pu_scalars(1.0, 0.6, 3) == (1.0, 1.0)
 
 
 def test_lockstep_arrival_and_service_sits_at_one():
     # every slot departs and refills: the queue holds exactly one packet
-    s = pu_steady_state(1.0, 1.0, 3)
-    assert s.occupancy[1] == 1.0
-    assert s.busy == 1.0
-    assert s.full == 0.0
+    assert pu_scalars(1.0, 1.0, 3) == (1.0, 0.0)
 
 
-def test_huge_buffer_scalars_are_cheap_and_lazy():
-    s = pu_steady_state(0.5, 0.65, 10**6)
-    assert 0.0 < s.busy < 1.0
-    assert s.full < 1e-30
-    occ = s.occupancy  # materialized on demand
-    assert len(occ) == 10**6 + 1
-    assert math.fsum(occ) == pytest.approx(1.0, abs=1e-9)
-    assert occ[0] == pytest.approx(1.0 - s.busy, rel=1e-12)
+def test_huge_buffer_scalars_match_the_infinite_buffer_limit():
+    # gamma < 1: past a million slots the law is the infinite buffer's,
+    # whose busy probability is lam / mu
+    busy, full = pu_scalars(0.5, 0.65, 10**6)
+    assert busy == pytest.approx(0.5 / 0.65, rel=1e-12)
+    assert full < 1e-30
 
 
 # -- departure-rate floor ---------------------------------------------------
@@ -286,6 +282,26 @@ def test_feasibility_flag_matches_floor(defaults):
                                defaults.pu_queue_capacity,
                                defaults.loss_threshold)
     assert ev.feasible == (ev.mu_p >= floor - 1e-9)
+
+
+@pytest.mark.parametrize("changes, share, feasible", [
+    ({}, 0.5, True),
+    ({"pu_queue_capacity": 8, "pu_arrival_rate": 0.3}, 1.0, True),
+    ({"alpha": 0.15}, 1.0, False),  # the lowest equilibrium misses the floor
+    ({"pu_queue_capacity": 1}, 0.5, False),  # no rate meets the threshold
+])
+def test_evaluation_carries_primary_scalars_and_floor_margin(
+        defaults, changes, share, feasible):
+    cfg = dataclasses.replace(defaults, **changes)
+    ev = evaluate_policy(cfg, AccessPolicy(
+        (1.0,) + (share,) * cfg.relay_queue_capacity))
+    lam, n_p = cfg.pu_arrival_rate, cfg.pu_queue_capacity
+    assert ev.pu_busy == pu_busy_probability(lam, ev.mu_p, n_p)
+    assert ev.pu_full == pu_blocking_probability(lam, ev.mu_p, n_p)
+    floor = min_departure_rate(lam, n_p, cfg.loss_threshold)
+    assert ev.floor_margin == (-math.inf if floor is None else
+                               ev.equilibria[0] - (floor - _FLOOR_SLACK))
+    assert ev.feasible == (ev.floor_margin >= 0) == feasible
 
 
 def test_idle_primary_frees_the_secondary(defaults, budget):
